@@ -98,6 +98,11 @@ let run ?(show_counterexamples = true) () =
     [ "level"; "anomaly"; "database"; "detected as"; "CE pos"; "gen (s)";
       "verify (s)" ]
   in
+  (* A smoke-scale hunt runs too few trials to hit every bug: that is
+     the scale, not a missed bug, and the table says so. *)
+  let not_found =
+    if !Bench_util.smoke then "not reached at smoke scale" else "NOT FOUND"
+  in
   let ces = ref [] in
   let rows =
     List.map
@@ -108,7 +113,7 @@ let run ?(show_counterexamples = true) () =
           | Some text ->
               ces := (b.b_database, text) :: !ces;
               Option.value h.Endtoend.anomaly ~default:"violation"
-          | None -> "NOT FOUND"
+          | None -> not_found
         in
         [
           Checker.level_name b.b_level;
@@ -129,7 +134,7 @@ let run ?(show_counterexamples = true) () =
       "SSER";
       "AbortedRead";
       "Cassandra-2.0.1 (sim, LWT)";
-      (match cass_res with Ok () -> "NOT FOUND" | Error _ -> "AbortedRead");
+      (match cass_res with Ok () -> not_found | Error _ -> "AbortedRead");
       "-";
       Printf.sprintf "%.2f" cass_gen;
       Printf.sprintf "%.4f" cass_verify;

@@ -76,7 +76,7 @@ let verify_any ?(skew = 0) ?pool ?(ts = Ts.Ignore) ?on_ts_report level h =
       | Checker.Pass -> Ok ()
       | Checker.Fail v -> Error (Report.render h l v))
   | Weak l -> (
-      match Weak_checker.check l h with
+      match Weak_checker.check ?pool l h with
       | Weak_checker.Pass -> Ok ()
       | Weak_checker.Fail v ->
           Error

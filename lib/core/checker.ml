@@ -43,23 +43,11 @@ type si_label =
   | Dep of Deps.dep
   | Comp of Deps.dep * int * Op.key  (* dep into mid, then RW(key) out *)
 
-let si_compose (d : Deps.t) =
-  let g' = Digraph.create d.num_txn_vertices in
-  List.iter
-    (fun (u, lab, v) ->
-      Digraph.add_edge g' u v (Dep lab);
-      List.iter
-        (fun (k, w) -> Digraph.add_edge g' u w (Comp (lab, v, k)))
-        (Deps.rw_succ d v))
-    (Deps.dep_edges d);
-  g'
-
-(* Direct CSR form of the same composition, for the [Deps.Direct] hot
-   path: count the out-degree of every composed vertex (one slot per
-   dependency edge plus one per RW edge leaving its target), prefix-sum,
-   then fill the blocks in a second pass over the frozen dependency CSR.
-   No Digraph, no intermediate edge lists. *)
-let si_compose_csr ?pool (d : Deps.t) =
+(* Built straight into a CSR: count the out-degree of every composed
+   vertex (one slot per dependency edge plus one per RW edge leaving its
+   target), prefix-sum, then fill the blocks in a second pass over the
+   frozen dependency CSR.  No intermediate edge lists. *)
+let si_compose ?pool (d : Deps.t) =
   let c = Deps.freeze d in
   let n = Csr.n c in
   (* Every per-vertex pass writes only its own slot (or its own cursor
@@ -138,10 +126,9 @@ let sp_cycle = Obs.Trace.intern "check/cycle"
 (* The graph phase shared by all timestamp modes: dependency build (with
    the optional timestamp fast path), level-specific composition, cycle
    search.  Runs after the INT screen passed. *)
-let graph_phase ~rt_mode ~skew ~impl ?pool ?ts level idx =
-  (* With the default [Direct] builder the dependency graph is born
-     frozen; the DFS then runs allocation-free over flat arrays.
-     [Via_digraph] converts on first [freeze]. *)
+let graph_phase ~rt_mode ~skew ?pool ?ts level idx =
+  (* The dependency graph is born frozen; the DFS runs allocation-free
+     over its flat arrays. *)
   let acyclic_or_fail d =
     match
       Obs.Trace.with_span sp_cycle (fun () -> Cycle.find_csr (Deps.freeze d))
@@ -151,11 +138,11 @@ let graph_phase ~rt_mode ~skew ~impl ?pool ?ts level idx =
   in
   match level with
   | SER -> (
-      match Deps.build ~impl ?pool ?ts ~rt:Deps.No_rt idx with
+      match Deps.build ?pool ?ts ~rt:Deps.No_rt idx with
       | Error e -> Fail (Malformed (Format.asprintf "%a" Deps.pp_error e))
       | Ok d -> acyclic_or_fail d)
   | SSER -> (
-      match Deps.build ~skew ~impl ?pool ?ts ~rt:rt_mode idx with
+      match Deps.build ~skew ?pool ?ts ~rt:rt_mode idx with
       | Error e -> Fail (Malformed (Format.asprintf "%a" Deps.pp_error e))
       | Ok d -> acyclic_or_fail d)
   | SI -> (
@@ -164,14 +151,11 @@ let graph_phase ~rt_mode ~skew ~impl ?pool ?ts level idx =
       with
       | Some inst -> Fail (Diverged inst)
       | None -> (
-          match Deps.build ~impl ?pool ?ts ~rt:Deps.No_rt idx with
+          match Deps.build ?pool ?ts ~rt:Deps.No_rt idx with
           | Error e -> Fail (Malformed (Format.asprintf "%a" Deps.pp_error e))
           | Ok d -> (
               let composed =
-                Obs.Trace.with_span sp_compose (fun () ->
-                    match impl with
-                    | Deps.Direct -> si_compose_csr ?pool d
-                    | Deps.Via_digraph -> Csr.of_digraph (si_compose d))
+                Obs.Trace.with_span sp_compose (fun () -> si_compose ?pool d)
               in
               match
                 Obs.Trace.with_span sp_cycle (fun () -> Cycle.find_csr composed)
@@ -180,11 +164,8 @@ let graph_phase ~rt_mode ~skew ~impl ?pool ?ts level idx =
               | Some cycle ->
                   Fail (Cyclic (Deps.to_txn_cycle d (expand_si_cycle cycle))))))
 
-let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?(impl = Deps.Direct)
-    ?pool ?(ts = Ts.Ignore) level h =
-  (* The digraph oracle is value-only; fold back to the classic
-     pipeline under it so oracle comparisons stay meaningful. *)
-  let ts = if impl = Deps.Via_digraph then Ts.Ignore else ts in
+let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?pool
+    ?(ts = Ts.Ignore) level h =
   match ts with
   | Ts.Ignore -> (
       match
@@ -199,7 +180,7 @@ let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?(impl = Deps.Direct)
             Obs.Trace.with_span sp_intra (fun () -> Int_check.check ?pool idx)
           with
           | Error v -> (Fail (Intra v), None)
-          | Ok () -> (graph_phase ~rt_mode ~skew ~impl ?pool level idx, None)))
+          | Ok () -> (graph_phase ~rt_mode ~skew ?pool level idx, None)))
   | (Ts.Trust | Ts.Verify) as mode -> (
       (* Vbox fast path: no unique-values pass, no eager writer tables —
          the timestamp chains carry the version order.  [Verify]'s chain
@@ -219,11 +200,11 @@ let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?(impl = Deps.Direct)
           with
           | Error v -> (Fail (Intra v), Some tsi)
           | Ok () ->
-              ( graph_phase ~rt_mode ~skew ~impl ?pool ~ts:tsi level idx,
+              ( graph_phase ~rt_mode ~skew ?pool ~ts:tsi level idx,
                 Some tsi )))
 
-let check ?rt_mode ?skew ?impl ?pool ?ts level h =
-  fst (check_report ?rt_mode ?skew ?impl ?pool ?ts level h)
+let check ?rt_mode ?skew ?pool ?ts level h =
+  fst (check_report ?rt_mode ?skew ?pool ?ts level h)
 
 let check_sser ?rt_mode ?skew h = check ?rt_mode ?skew SSER h
 let check_ser h = check SER h

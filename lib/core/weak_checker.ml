@@ -53,254 +53,286 @@ let pp_violation ppf = function
 
 let passes = function Pass -> true | Fail _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Version trees: one node per final write (key, value); a node's parent
-   is the version its writer read (the RMW source).  Euler-tour intervals
-   give O(1) ancestor tests; per-node subtree-writer bitsets give O(n/64)
-   "does any causal predecessor sit below this version" tests. *)
-
-type node = {
-  n_writer : Txn.id;
-  mutable n_children : Op.value list;
-  mutable n_in : int;  (** Euler-tour entry *)
-  mutable n_out : int;  (** Euler-tour exit *)
-  mutable n_below : Bytes.t;  (** writers of strict descendants (vertex bits) *)
-}
-
-type tree = { nodes : (Op.value, node) Hashtbl.t; mutable roots : Op.value list }
-
 exception Bad of violation
 
-let build_trees (idx : Index.t) =
-  let num_keys = idx.history.History.num_keys in
-  let trees = Array.init num_keys (fun _ -> { nodes = Hashtbl.create 16; roots = [] }) in
-  (* Nodes for every committed final write. *)
-  Array.iter
-    (fun (t : Txn.t) ->
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace trees.(k).nodes v
-            { n_writer = t.id; n_children = []; n_in = 0; n_out = 0;
-              n_below = Bytes.empty })
-        (Txn.final_writes t))
-    idx.committed;
-  (* Parent edges from the writers' RMW reads. *)
-  Array.iter
-    (fun (t : Txn.t) ->
-      List.iter
-        (fun (k, v) ->
-          if t.id = History.init_id then
-            trees.(k).roots <- v :: trees.(k).roots
-          else
-            match Txn.read_of t k with
-            | Some parent_value -> (
-                match Hashtbl.find_opt trees.(k).nodes parent_value with
-                | Some parent -> parent.n_children <- v :: parent.n_children
-                | None ->
-                    raise
-                      (Bad
-                         (Malformed
-                            (Printf.sprintf
-                               "write of x%d by T%d extends an unknown version"
-                               k t.id))))
-            | None ->
-                raise
-                  (Bad
-                     (Malformed
-                        (Printf.sprintf
-                           "blind write of x%d by T%d: not a mini-transaction"
-                           k t.id))))
-        (Txn.final_writes t))
-    idx.committed;
-  (* Euler tour + subtree writer sets (iterative post-order). *)
+let malformed fmt = Printf.ksprintf (fun msg -> raise (Bad (Malformed msg))) fmt
+
+(* ------------------------------------------------------------------ *)
+(* Version trees, read off the WW(k) edges of the dependency CSR.  A
+   version is a final write (vertex, key).  Vertex [v]'s versions sit in
+   slots [base.(v) .. base.(v + 1) - 1], sorted by key so {!slot} is a
+   binary search.  The parent of (v, k) is (u, k) for the WW(k) edge
+   [u -> v]: under the RMW pattern that is the version [v] read.  A
+   pre-order tour numbers the slots: [pre.(s)] is the position of slot
+   [s], its subtree occupies positions [pre.(s) .. stop.(s) - 1], and
+   [order] maps a position back to its slot. *)
+
+type versions = {
+  base : int array;
+  key : int array;  (** slot -> key *)
+  writer : int array;  (** slot -> vertex *)
+  pre : int array;
+  stop : int array;
+  order : int array;
+}
+
+let rec bsearch keys k lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let km = keys.(mid) in
+    if km = k then mid
+    else if km < k then bsearch keys k (mid + 1) hi
+    else bsearch keys k lo mid
+
+(* Slot of vertex [v]'s version of [k], or -1 if [v] does not write [k]. *)
+let slot vs v k = bsearch vs.key k vs.base.(v) vs.base.(v + 1)
+
+let sort_slice a lo hi =
+  if hi - lo > 1 then begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
+let versions (idx : Index.t) (c : Deps.dep Csr.t) =
   let n = Index.num_vertices idx in
-  let row_len = (n + 7) / 8 in
-  let set_bit row v =
-    Bytes.set row (v lsr 3)
-      (Char.chr (Char.code (Bytes.get row (v lsr 3)) lor (1 lsl (v land 7))))
+  let final = Index.final_scratch idx.committed in
+  let count (t : Txn.t) f =
+    Index.mark_finals ~final t.ops;
+    Array.iteri
+      (fun i op ->
+        match op with
+        | Op.Write (k, _) when Bytes.get final i = '\001' -> f k
+        | Op.Write _ | Op.Read _ -> ())
+      t.ops
   in
-  let or_into dst src =
-    for i = 0 to row_len - 1 do
-      Bytes.set dst i
-        (Char.chr (Char.code (Bytes.get dst i) lor Char.code (Bytes.get src i)))
+  let base = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun v t ->
+      let d = ref 0 in
+      count t (fun _ -> incr d);
+      base.(v + 1) <- base.(v) + !d)
+    idx.committed;
+  let total = base.(n) in
+  let key = Array.make total 0 and writer = Array.make total 0 in
+  Array.iteri
+    (fun v t ->
+      let i = ref base.(v) in
+      count t (fun k ->
+          key.(!i) <- k;
+          writer.(!i) <- v;
+          incr i);
+      sort_slice key base.(v) base.(v + 1))
+    idx.committed;
+  let vs =
+    { base; key; writer; pre = Array.make total 0; stop = Array.make total 0;
+      order = Array.make total 0 }
+  in
+  (* Tree edges, one WW(k) edge into every version that has a parent. *)
+  let parent = Array.make total (-1) in
+  for u = 0 to n - 1 do
+    for e = c.Csr.offsets.(u) to c.Csr.offsets.(u + 1) - 1 do
+      match c.Csr.labels.(e) with
+      | Deps.WW k -> parent.(slot vs c.Csr.targets.(e) k) <- slot vs u k
+      | Deps.RT | Deps.SO | Deps.WR _ | Deps.RW _ | Deps.Rt_chain -> ()
     done
-  in
-  Array.iter
-    (fun tree ->
-      let clock = ref 0 in
-      let rec stack_visit stack =
-        match stack with
-        | [] -> ()
-        | `Enter value :: rest ->
-            let node = Hashtbl.find tree.nodes value in
-            node.n_in <- !clock;
-            incr clock;
-            node.n_below <- Bytes.make row_len '\000';
-            stack_visit
-              (List.map (fun c -> `Enter c) node.n_children
-              @ (`Exit value :: rest))
-        | `Exit value :: rest ->
-            let node = Hashtbl.find tree.nodes value in
-            node.n_out <- !clock;
-            incr clock;
-            List.iter
-              (fun c ->
-                let child = Hashtbl.find tree.nodes c in
-                or_into node.n_below child.n_below;
-                (* bits index committed vertices, not transaction ids *)
-                set_bit node.n_below (Index.vertex idx child.n_writer))
-              node.n_children;
-            stack_visit rest
+  done;
+  (* Every version but the initial transaction's must extend the one its
+     writer read; report the first that does not, in id order and then in
+     the writer's first-write order. *)
+  let init = Index.vertex idx History.init_id in
+  for s = 0 to total - 1 do
+    let v = writer.(s) in
+    if parent.(s) < 0 && v <> init then begin
+      let t = Index.txn_of_vertex idx v in
+      let k, _ =
+        List.find (fun (k, _) -> parent.(slot vs v k) < 0) (Txn.final_writes t)
       in
-      stack_visit (List.map (fun r -> `Enter r) tree.roots)
-    )
-    trees;
-  trees
+      if Txn.reads_key t k then
+        malformed "write of x%d by T%d extends an unknown version" k t.id
+      else malformed "blind write of x%d by T%d: not a mini-transaction" k t.id
+    end
+  done;
+  (* Children in CSR form, then an iterative pre-order tour from the
+     roots; subtree ends come from sizes summed in reverse pre-order. *)
+  let child_off = Array.make (total + 1) 0 in
+  Array.iter
+    (fun p -> if p >= 0 then child_off.(p + 1) <- child_off.(p + 1) + 1)
+    parent;
+  for s = 1 to total do
+    child_off.(s) <- child_off.(s) + child_off.(s - 1)
+  done;
+  let child = Array.make total 0 in
+  let cursor = Array.sub child_off 0 total in
+  Array.iteri
+    (fun s p ->
+      if p >= 0 then begin
+        child.(cursor.(p)) <- s;
+        cursor.(p) <- cursor.(p) + 1
+      end)
+    parent;
+  let stack = cursor (* reused: at most [total] slots are ever pushed *) in
+  let clock = ref 0 in
+  for root = 0 to total - 1 do
+    if parent.(root) < 0 then begin
+      stack.(0) <- root;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        let s = stack.(!top) in
+        vs.pre.(s) <- !clock;
+        vs.order.(!clock) <- s;
+        incr clock;
+        for j = child_off.(s) to child_off.(s + 1) - 1 do
+          stack.(!top) <- child.(j);
+          incr top
+        done
+      done
+    end
+  done;
+  Array.fill vs.stop 0 total 1;
+  for p = total - 1 downto 0 do
+    let s = vs.order.(p) in
+    if parent.(s) >= 0 then
+      vs.stop.(parent.(s)) <- vs.stop.(parent.(s)) + vs.stop.(s)
+  done;
+  Array.iteri (fun s size -> vs.stop.(s) <- vs.pre.(s) + size) vs.stop;
+  vs
 
-let node_of trees k v =
-  match Hashtbl.find_opt trees.(k).nodes v with
-  | Some node -> node
-  | None -> raise (Bad (Malformed (Printf.sprintf "no version %d of x%d" v k)))
+(* The version a read of [k] returned: the writer's slot. *)
+let version_read idx vs k v =
+  let s =
+    match Index.writer_of idx k v with
+    | Index.Final w -> slot vs (Index.vertex idx w) k
+    | Index.Intermediate _ | Index.Aborted _ | Index.Nobody -> -1
+  in
+  if s < 0 then malformed "no version %d of x%d" v k else s
 
-(* Is [a] a strict ancestor of [b]?  (Same key's tree.) *)
-let strict_ancestor a b = a.n_in < b.n_in && b.n_out < a.n_out
+(* Is slot [a] a strict ancestor of slot [b]?  (Same key's tree.) *)
+let strict_ancestor vs a b =
+  vs.pre.(a) < vs.pre.(b) && vs.pre.(b) < vs.stop.(a)
 
 (* ------------------------------------------------------------------ *)
 
-let g1c_check (idx : Index.t) =
-  match Deps.build ~rt:Deps.No_rt idx with
-  | Error e -> raise (Bad (Malformed (Format.asprintf "%a" Deps.pp_error e)))
-  | Ok d -> (
-      let g = Digraph.create d.Deps.num_txn_vertices in
-      List.iter
-        (fun (u, lab, v) ->
-          match lab with
-          | Deps.WR _ | Deps.WW _ -> Digraph.add_edge g u v lab
-          | Deps.SO | Deps.RT | Deps.RW _ | Deps.Rt_chain -> ())
-        (Deps.dep_edges d);
-      match Cycle.find g with
-      | Some cycle -> raise (Bad (G1c_cycle (Deps.to_txn_cycle d cycle)))
-      | None -> d)
+let g1c d =
+  let ww_wr = function
+    | Deps.WR _ | Deps.WW _ -> true
+    | Deps.RT | Deps.SO | Deps.RW _ | Deps.Rt_chain -> false
+  in
+  match Cycle.find_csr (Csr.filter ww_wr (Deps.freeze d)) with
+  | Some cycle -> raise (Bad (G1c_cycle (Deps.to_txn_cycle d cycle)))
+  | None -> ()
 
-let fractured_check (idx : Index.t) trees =
+let fractured (idx : Index.t) vs =
   Array.iter
     (fun (r : Txn.t) ->
-      let reads = Txn.external_reads r in
-      List.iter
-        (fun (x, v) ->
+      Txn.iter_external_reads r (fun _ x v ->
           match Index.writer_of idx x v with
           | Index.Final w when w <> r.id && w <> History.init_id ->
-              let writer_txn = History.txn idx.history w in
-              List.iter
-                (fun (y, vy) ->
-                  if y <> x then
-                    match Txn.write_of writer_txn y with
-                    | Some wy ->
-                        let read_node = node_of trees y vy in
-                        let written_node = node_of trees y wy in
-                        if strict_ancestor read_node written_node then
-                          raise
-                            (Bad
-                               (Fractured
-                                  { reader = r.id; writer = w; read_key = x;
-                                    stale_key = y }))
-                    | None -> ())
-                reads
-          | _ -> ())
-        reads)
+              let wv = Index.vertex idx w in
+              Txn.iter_external_reads r (fun _ y vy ->
+                  if y <> x then begin
+                    let written = slot vs wv y in
+                    if written >= 0
+                       && strict_ancestor vs (version_read idx vs y vy) written
+                    then
+                      raise
+                        (Bad
+                           (Fractured
+                              { reader = r.id; writer = w; read_key = x;
+                                stale_key = y }))
+                  end)
+          | _ -> ()))
     idx.committed
 
-let causal_check (idx : Index.t) trees =
-  let n = Index.num_vertices idx in
-  (* hb = (SO ∪ WR)+ over committed vertices. *)
-  let hb = Digraph.create n in
-  List.iter
-    (fun (a, b) ->
-      Digraph.add_edge hb (Index.vertex idx a) (Index.vertex idx b) Deps.SO)
-    (History.so_pairs idx.history);
-  Array.iteri
-    (fun sv (s : Txn.t) ->
-      List.iter
-        (fun (k, v) ->
-          match Index.writer_of idx k v with
-          | Index.Final w when w <> s.id ->
-              Digraph.add_edge hb (Index.vertex idx w) sv (Deps.WR k)
-          | _ -> ())
-        (Txn.external_reads s))
-    idx.committed;
-  (match Cycle.find hb with
-  | Some cycle ->
-      let to_txn (u, lab, v) =
-        ( (Index.txn_of_vertex idx u).Txn.id, lab,
-          (Index.txn_of_vertex idx v).Txn.id )
-      in
-      raise (Bad (Hb_cycle (List.map to_txn cycle)))
+(* hb = (SO ∪ WR)⁺, the SO and WR edges of the CSR.  Once hb is known to
+   be acyclic, [clock.(u * ns + s)] — filled in a topological order — is
+   the last position in session [s] of an hb-predecessor of [u] (or of
+   [u] itself), so [u' hb* u] iff [clock.(u * ns + session u') >= pos u'].
+   A read of [y] is stale iff one of the reader's RW(y) successors — the
+   writers of the children of the version read — is an hb-predecessor:
+   tree edges are WR edges, so a descendant writer that precedes the
+   reader drags its ancestor child's writer along. *)
+let causal (idx : Index.t) d vs =
+  let c = Deps.freeze d in
+  let so_wr = function
+    | Deps.SO | Deps.WR _ -> true
+    | Deps.RT | Deps.WW _ | Deps.RW _ | Deps.Rt_chain -> false
+  in
+  let hb = Csr.filter so_wr c in
+  (match Cycle.find_csr hb with
+  | Some cycle -> raise (Bad (Hb_cycle (Deps.to_txn_cycle d cycle)))
   | None -> ());
-  (* hb-predecessor bitsets: closure of the transpose. *)
-  let pred_rows = Reach.closure_matrix (Digraph.transpose hb) in
-  (* A read is stale if some strict descendant of the returned version was
-     written by an hb-predecessor of the reader (other than itself). *)
+  let n = Csr.n hb in
+  let ns = idx.history.History.num_sessions + 1 in
+  let sess = Array.make n 0 and pos = Array.make n 0 in
+  let next = Array.make ns 0 in
+  Array.iteri
+    (fun v (t : Txn.t) ->
+      sess.(v) <- t.session;
+      pos.(v) <- next.(t.session);
+      next.(t.session) <- pos.(v) + 1)
+    idx.committed;
+  let clock = Array.make (n * ns) (-1) in
+  List.iter
+    (fun u ->
+      clock.((u * ns) + sess.(u)) <- pos.(u);
+      for e = hb.Csr.offsets.(u) to hb.Csr.offsets.(u + 1) - 1 do
+        let v = hb.Csr.targets.(e) in
+        for s = 0 to ns - 1 do
+          let a = clock.((u * ns) + s) in
+          if a > clock.((v * ns) + s) then clock.((v * ns) + s) <- a
+        done
+      done)
+    (Option.get (Topo.sort_csr hb));
+  let precedes u r = u <> r && clock.((r * ns) + sess.(u)) >= pos.(u) in
   Array.iteri
     (fun rv (r : Txn.t) ->
-      List.iter
-        (fun (y, v) ->
-          let node = node_of trees y v in
-          if Bytes.length node.n_below > 0 then begin
-            let preds = pred_rows.(rv) in
-            let len = Bytes.length node.n_below in
-            let missed = ref (-1) in
-            (try
-               for i = 0 to len - 1 do
-                 let both =
-                   Char.code (Bytes.get node.n_below i)
-                   land Char.code (Bytes.get preds i)
-                 in
-                 if both <> 0 then
-                   for b = 0 to 7 do
-                     if both land (1 lsl b) <> 0 then begin
-                       let vertex = (i * 8) + b in
-                       if vertex <> rv then begin
-                         missed := vertex;
-                         raise Exit
-                       end
-                     end
-                   done
-               done
-             with Exit -> ());
-            if !missed >= 0 then
-              raise
-                (Bad
-                   (Causality
-                      {
-                        reader = r.id;
-                        stale_key = y;
-                        missed_writer = (Index.txn_of_vertex idx !missed).Txn.id;
-                      }))
-          end)
-        (Txn.external_reads r))
+      Txn.iter_external_reads r (fun _ y v ->
+          for e = c.Csr.offsets.(rv) to c.Csr.offsets.(rv + 1) - 1 do
+            match c.Csr.labels.(e) with
+            | Deps.RW k when k = y && precedes c.Csr.targets.(e) rv ->
+                (* Name the smallest hb-predecessor writing below the
+                   version read, as a scan of the whole subtree would. *)
+                let s = version_read idx vs y v in
+                let missed = ref max_int in
+                for p = vs.pre.(s) + 1 to vs.stop.(s) - 1 do
+                  let u = vs.writer.(vs.order.(p)) in
+                  if u < !missed && precedes u rv then missed := u
+                done;
+                let missed_writer = (Index.txn_of_vertex idx !missed).Txn.id in
+                raise
+                  (Bad
+                     (Causality { reader = r.id; stale_key = y; missed_writer }))
+            | _ -> ()
+          done))
     idx.committed
 
-let check level h =
-  match History.unique_values h with
-  | Error msg -> Fail (Malformed msg)
-  | Ok () -> (
-      let idx = Index.build h in
-      match Int_check.check idx with
-      | Error v -> Fail (Intra v)
-      | Ok () -> (
-          try
-            ignore (g1c_check idx);
-            (match level with
-            | Read_committed -> ()
-            | Read_atomic ->
-                let trees = build_trees idx in
-                fractured_check idx trees
-            | Causal ->
-                let trees = build_trees idx in
-                fractured_check idx trees;
-                causal_check idx trees);
-            Pass
-          with Bad v -> Fail v))
+let check ?pool level h =
+  try
+    (match History.unique_values ?pool h with
+    | Error msg -> raise (Bad (Malformed msg))
+    | Ok () -> ());
+    let idx = Index.build ?pool h in
+    (match Int_check.check ?pool idx with
+    | Error v -> raise (Bad (Intra v))
+    | Ok () -> ());
+    let d =
+      match Deps.build ?pool ~rt:Deps.No_rt idx with
+      | Ok d -> d
+      | Error e -> malformed "%s" (Format.asprintf "%a" Deps.pp_error e)
+    in
+    g1c d;
+    (match level with
+    | Read_committed -> ()
+    | Read_atomic -> fractured idx (versions idx (Deps.freeze d))
+    | Causal ->
+        let vs = versions idx (Deps.freeze d) in
+        fractured idx vs;
+        causal idx d vs);
+    Pass
+  with Bad v -> Fail v
 
 let check_rc h = check Read_committed h
 let check_ra h = check Read_atomic h

@@ -26,7 +26,13 @@
     to be rejected).
 
     Like the strong checkers, these require mini-transaction histories
-    with unique values (every write has a read-parent). *)
+    with unique values (every write has a read-parent), and they run on
+    the same pipeline: unique values, {!Index}, the INT screen, then the
+    frozen {!Deps} CSR.  G1c is a cycle search over its WR ∪ WW edges,
+    hb is its SO ∪ WR edges, and the version trees are its WW(k) edges.
+    Stale reads are found through the reader's RW successors and
+    per-session hb clocks — n × (sessions + 1) ints, no reachability
+    matrix (DESIGN.md §"Weak_checker"). *)
 
 type level = Read_committed | Read_atomic | Causal
 
@@ -56,7 +62,11 @@ type outcome = Pass | Fail of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check : level -> History.t -> outcome
+val check : ?pool:Pool.t -> level -> History.t -> outcome
+(** [pool] runs the shared stages — unique values, index, INT screen and
+    dependency inference — across domains; the outcome, payload
+    included, is the same for every pool size. *)
+
 val check_rc : History.t -> outcome
 val check_ra : History.t -> outcome
 val check_causal : History.t -> outcome

@@ -157,6 +157,36 @@ let of_digraph g =
   done;
   { offsets; targets; labels = !labels }
 
+(* One counting pass, one fill pass.  The edge blocks are laid out
+   source-major, so a single sweep over the kept edges fills every block
+   in place and in order. *)
+let filter keep t =
+  let n = n t in
+  let offsets = Array.make (n + 1) 0 in
+  let first = ref (-1) in
+  for u = 0 to n - 1 do
+    let d = ref 0 in
+    for e = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+      if keep t.labels.(e) then begin
+        if !first < 0 then first := e;
+        incr d
+      end
+    done;
+    offsets.(u + 1) <- offsets.(u) + !d
+  done;
+  let m = offsets.(n) in
+  let targets = Array.make m (-1) in
+  let labels = if m = 0 then [||] else Array.make m t.labels.(!first) in
+  let i = ref 0 in
+  for e = 0 to num_edges t - 1 do
+    if keep t.labels.(e) then begin
+      targets.(!i) <- t.targets.(e);
+      labels.(!i) <- t.labels.(e);
+      incr i
+    end
+  done;
+  { offsets; targets; labels }
+
 let iter_succ t u f =
   for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
     f t.targets.(i) t.labels.(i)

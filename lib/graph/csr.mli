@@ -62,6 +62,12 @@ val of_edge_streams :
     passes run streams concurrently and the cursor conversion runs on
     vertex slices; all writes are index-disjoint.  O(V·S + E). *)
 
+val filter : ('lab -> bool) -> 'lab t -> 'lab t
+(** [filter keep g] is the subgraph of the edges whose label satisfies
+    [keep], on the same vertices, each successor block keeping [g]'s
+    order — so a cycle search over it visits edges exactly as it would
+    over a graph built from the kept edges alone.  O(V + E). *)
+
 val n : _ t -> int
 val num_edges : _ t -> int
 val out_degree : _ t -> int -> int

@@ -38,6 +38,20 @@ let external_reads t =
     t.ops;
   List.rev !acc
 
+(* [ops.(i)] reading [k] is external iff no earlier op touches [k]: an
+   earlier read of [k] is the external one, an earlier write makes every
+   later read internal. *)
+let rec touched_before ops k j i =
+  j < i && (Op.key ops.(j) = k || touched_before ops k (j + 1) i)
+
+let iter_external_reads t f =
+  let ops = t.ops in
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Op.Read (k, v) -> if not (touched_before ops k 0 i) then f i k v
+    | Op.Write _ -> ()
+  done
+
 let final_writes t =
   let last = Hashtbl.create 4 in
   let order = ref [] in

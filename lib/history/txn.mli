@@ -33,6 +33,12 @@ val external_reads : t -> (Op.key * Op.value) list
     to [x] within [t], the value of the *first* such read.  Ordered by
     first occurrence. *)
 
+val iter_external_reads : t -> (int -> Op.key -> Op.value -> unit) -> unit
+(** [iter_external_reads t f] calls [f i x v] for every external read
+    [R(x,v)] of {!external_reads}, in the same order, with [i] its op
+    index.  Allocation-free: a linear rescan per read instead of per-call
+    hashtables — meant for mini-transactions, whose op arrays are tiny. *)
+
 val final_writes : t -> (Op.key * Op.value) list
 (** [T |- W(x,v)]: the last value written by [t] to each object it writes.
     Ordered by first write occurrence. *)

@@ -2,7 +2,8 @@
 # End-to-end smoke of the parallel checking path: `mtc gen` must produce
 # text and binary corpora that load identically, and `mtc check -j N`
 # must print byte-identical output (stats line, verdict, counterexample)
-# for every N on clean and faulty histories in both formats.  Also runs
+# for every N at every level (strong and weak) on clean and faulty
+# histories in both formats.  Also runs
 # the service smoke with MTC_JOBS set, exercising multi-shard sessions
 # end to end.  Wired into `dune build @check` from the root dune file.
 set -u
@@ -14,13 +15,20 @@ trap cleanup EXIT
 
 fail() { echo "par-smoke: FAIL: $*" >&2; exit 1; }
 
-# -- fixtures: a clean generated corpus (text + bin) and a faulty run
+# -- fixtures: a clean generated corpus (text + bin) and two faulty runs
 "$MTC" gen --txns 3000 --keys 300 --sessions 8 --seed 11 \
   --out "$TMP/clean.hist" --out-bin "$TMP/clean.bin" >/dev/null \
   || fail "mtc gen must succeed"
 "$MTC" run --level ser --fault lost-update --fault-p 0.3 --txns 800 \
   --seed 7 -o "$TMP/faulty.hist" >/dev/null 2>&1
 [ -f "$TMP/faulty.hist" ] || fail "faulty fixture must be written"
+# stale reads: passes RC and RA, fails CC (lost updates pass all three)
+"$MTC" run --level si --fault causality-violation --fault-p 0.2 --txns 800 \
+  --seed 7 -o "$TMP/stale.hist" >/dev/null 2>&1
+[ -f "$TMP/stale.hist" ] || fail "stale-read fixture must be written"
+if "$MTC" check "$TMP/stale.hist" --level causal > /dev/null; then
+  fail "the stale-read fixture must fail causal"
+fi
 
 # -- the binary and text encodings must decode to the same history:
 # identical stats lines and identical verdicts
@@ -38,10 +46,10 @@ for level in sser ser si; do
 done
 
 # -- byte-identical output across -j on every (file, level) pair,
-# including a violating history (counterexample selection is the part
-# most at risk of nondeterminism)
-for f in "$TMP/clean.bin" "$TMP/faulty.hist"; do
-  for level in ser si; do
+# including violating histories (counterexample selection is the part
+# most at risk of nondeterminism); the weak levels share the pipeline
+for f in "$TMP/clean.bin" "$TMP/faulty.hist" "$TMP/stale.hist"; do
+  for level in ser si rc ra causal; do
     check_out "$f" "$level" 1 > "$TMP/j1.out"; rc1=$?
     for j in 2 4; do
       check_out "$f" "$level" "$j" > "$TMP/j$j.out"; rc=$?

@@ -127,9 +127,12 @@ let test_divergence_find_all () =
 let edges_of h rt =
   match Deps.build ~rt (Index.build h) with
   | Ok d ->
-      Digraph.fold_edges (Deps.digraph d)
-        (fun acc u lab v -> (u, lab, v) :: acc)
-        []
+      let c = Deps.freeze d in
+      let acc = ref [] in
+      for u = 0 to Csr.n c - 1 do
+        Csr.iter_succ c u (fun v lab -> acc := (u, lab, v) :: !acc)
+      done;
+      !acc
   | Error _ -> Alcotest.fail "deps build failed"
 
 let has_edge edges u lab v = List.mem (u, lab, v) edges

@@ -1,7 +1,7 @@
 (* Tests for the allocation-light inference pipeline: the int-packed
    Flat_index (raw map + writer tiers, including the spill path for
    unpackable pairs), Int_vec, and the equivalence of the direct-to-CSR
-   dependency builder with the seed's list-based Digraph path. *)
+   dependency builder with the list-based reference ({!Ref_deps}). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -138,19 +138,28 @@ let history_of (seed, num_keys, num_txns, num_sessions, level) =
   (Scheduler.run ~params:{ Scheduler.default_params with seed } ~db ~spec ())
     .Scheduler.history
 
-(* Sorted edge list of the dependency graph under a given builder; the
-   error case is part of the compared value. *)
-let edges_of impl rt h =
-  let idx = Index.build h in
-  match Deps.build ~impl ~rt idx with
+(* Sorted edge lists of the dependency graph from the library builder
+   and from the list-based reference; the error case is part of the
+   compared value. *)
+let sorted_edges = function
   | Error e -> Error e
-  | Ok d ->
-      let c = Deps.freeze d in
-      let acc = ref [] in
-      for u = 0 to Csr.n c - 1 do
-        Csr.iter_succ c u (fun v lab -> acc := (u, lab, v) :: !acc)
-      done;
-      Ok (List.sort compare !acc)
+  | Ok edges -> Ok (List.sort compare edges)
+
+let direct_edges rt h =
+  sorted_edges
+    (Result.map
+       (fun d ->
+         let c = Deps.freeze d in
+         let acc = ref [] in
+         for u = 0 to Csr.n c - 1 do
+           Csr.iter_succ c u (fun v lab -> acc := (u, lab, v) :: !acc)
+         done;
+         !acc)
+       (Deps.build ~rt (Index.build h)))
+
+let reference_edges rt h =
+  sorted_edges
+    (Result.map Digraph.edges (Ref_deps.build_digraph ~rt (Index.build h)))
 
 let outcome_kind = function
   | Checker.Pass -> 0
@@ -159,13 +168,35 @@ let outcome_kind = function
   | Checker.Fail (Checker.Cyclic _) -> 3
   | Checker.Fail (Checker.Malformed _) -> 4
 
+(* The same kinds from the reference pipeline: INT screen, divergence
+   (SI), list-built graph, list SI composition, cycle search. *)
+let reference_kind ?(rt_mode = Deps.Rt_sweep) level h =
+  match History.unique_values h with
+  | Error _ -> 4
+  | Ok () -> (
+      let idx = Index.build h in
+      match Int_check.check idx with
+      | Error _ -> 1
+      | Ok () -> (
+          if level = Checker.SI && Divergence.find idx <> None then 2
+          else
+            let rt = if level = Checker.SSER then rt_mode else Deps.No_rt in
+            match Ref_deps.build_digraph ~rt idx with
+            | Error _ -> 4
+            | Ok g ->
+                let acyclic =
+                  if level = Checker.SI then
+                    Cycle.is_acyclic (Ref_deps.si_compose g)
+                  else Cycle.is_acyclic g
+                in
+                if acyclic then 0 else 3))
+
 let prop_edge_multisets_equal =
   QCheck2.Test.make ~name:"direct CSR == digraph edge multiset" ~count:60
     ~print:print_config config_gen (fun cfg ->
       let h = history_of cfg in
       List.for_all
-        (fun rt ->
-          edges_of Deps.Direct rt h = edges_of Deps.Via_digraph rt h)
+        (fun rt -> direct_edges rt h = reference_edges rt h)
         [ Deps.No_rt; Deps.Rt_naive; Deps.Rt_sweep ])
 
 let prop_check_outcomes_equal =
@@ -174,8 +205,8 @@ let prop_check_outcomes_equal =
       let h = history_of cfg in
       List.for_all
         (fun (level, rt_mode) ->
-          outcome_kind (Checker.check ?rt_mode ~impl:Deps.Direct level h)
-          = outcome_kind (Checker.check ?rt_mode ~impl:Deps.Via_digraph level h))
+          outcome_kind (Checker.check ?rt_mode level h)
+          = reference_kind ?rt_mode level h)
         [
           (Checker.SER, None);
           (Checker.SI, None);
@@ -195,10 +226,14 @@ let test_direct_build_alloc_halved () =
       num_keys = 300; seed = 77 }
   in
   let h = (Scheduler.run ~db ~spec ()).Scheduler.history in
-  let build impl () =
-    let idx = Index.build h in
-    match Deps.build ~impl ~rt:Deps.No_rt idx with
+  let direct () =
+    match Deps.build ~rt:Deps.No_rt (Index.build h) with
     | Ok d -> ignore (Sys.opaque_identity (Deps.freeze d))
+    | Error _ -> Alcotest.fail "unexpected unresolved read"
+  in
+  let reference () =
+    match Ref_deps.build_digraph ~rt:Deps.No_rt (Index.build h) with
+    | Ok g -> ignore (Sys.opaque_identity (Csr.of_digraph g))
     | Error _ -> Alcotest.fail "unexpected unresolved read"
   in
   (* Minimum of a few runs: Gc.allocated_bytes can absorb counters from
@@ -214,8 +249,8 @@ let test_direct_build_alloc_halved () =
     done;
     !best
   in
-  let direct = measure (build Deps.Direct) in
-  let digraph = measure (build Deps.Via_digraph) in
+  let direct = measure direct in
+  let digraph = measure reference in
   if direct > digraph /. 2.0 then
     Alcotest.failf
       "direct build allocated %.0f bytes, digraph %.0f — expected <= half"
