@@ -164,23 +164,27 @@ let graph_phase ~rt_mode ~skew ?pool ?ts level idx =
               | Some cycle ->
                   Fail (Cyclic (Deps.to_txn_cycle d (expand_si_cycle cycle))))))
 
+let screened_index ?pool h =
+  match
+    Obs.Trace.with_span sp_unique (fun () -> History.unique_values ?pool h)
+  with
+  | Error msg -> Error (`Malformed msg)
+  | Ok () -> (
+      let idx = Obs.Trace.with_span sp_index (fun () -> Index.build ?pool h) in
+      match
+        Obs.Trace.with_span sp_intra (fun () -> Int_check.check ?pool idx)
+      with
+      | Error v -> Error (`Intra v)
+      | Ok () -> Ok idx)
+
 let check_report ?(rt_mode = Deps.Rt_sweep) ?(skew = 0) ?pool
     ?(ts = Ts.Ignore) level h =
   match ts with
   | Ts.Ignore -> (
-      match
-        Obs.Trace.with_span sp_unique (fun () -> History.unique_values ?pool h)
-      with
-      | Error msg -> (Fail (Malformed msg), None)
-      | Ok () -> (
-          let idx =
-            Obs.Trace.with_span sp_index (fun () -> Index.build ?pool h)
-          in
-          match
-            Obs.Trace.with_span sp_intra (fun () -> Int_check.check ?pool idx)
-          with
-          | Error v -> (Fail (Intra v), None)
-          | Ok () -> (graph_phase ~rt_mode ~skew ?pool level idx, None)))
+      match screened_index ?pool h with
+      | Error (`Malformed msg) -> (Fail (Malformed msg), None)
+      | Error (`Intra v) -> (Fail (Intra v), None)
+      | Ok idx -> (graph_phase ~rt_mode ~skew ?pool level idx, None))
   | (Ts.Trust | Ts.Verify) as mode -> (
       (* Vbox fast path: no unique-values pass, no eager writer tables —
          the timestamp chains carry the version order.  [Verify]'s chain

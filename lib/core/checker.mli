@@ -75,6 +75,14 @@ val check_report :
     whether or not they changed the verdict).  [None] in [Ignore] mode
     or when the [Verify] duplicate screen failed before chains built. *)
 
+val screened_index :
+  ?pool:Pool.t ->
+  History.t ->
+  (Index.t, [ `Malformed of string | `Intra of Int_check.violation ]) result
+(** The front end every level runs without timestamps, each stage a
+    trace span: the unique-values screen, the index, then the INT screen.
+    {!Weak_checker} shares it. *)
+
 val check_sser : ?rt_mode:Deps.rt_mode -> ?skew:int -> History.t -> outcome
 val check_ser : History.t -> outcome
 val check_si : History.t -> outcome

@@ -215,14 +215,22 @@ let strict_ancestor vs a b =
 
 (* ------------------------------------------------------------------ *)
 
+let sp_cycle = Obs.Trace.intern "check/cycle"
+let sp_versions = Obs.Trace.intern "infer/versions"
+let sp_fractured = Obs.Trace.intern "check/fractured"
+let sp_causal = Obs.Trace.intern "check/causal"
+
+let acyclic_or violation g d =
+  match Obs.Trace.with_span sp_cycle (fun () -> Cycle.find_csr g) with
+  | Some cycle -> raise (Bad (violation (Deps.to_txn_cycle d cycle)))
+  | None -> ()
+
 let g1c d =
   let ww_wr = function
     | Deps.WR _ | Deps.WW _ -> true
     | Deps.RT | Deps.SO | Deps.RW _ | Deps.Rt_chain -> false
   in
-  match Cycle.find_csr (Csr.filter ww_wr (Deps.freeze d)) with
-  | Some cycle -> raise (Bad (G1c_cycle (Deps.to_txn_cycle d cycle)))
-  | None -> ()
+  acyclic_or (fun c -> G1c_cycle c) (Csr.filter ww_wr (Deps.freeze d)) d
 
 let fractured (idx : Index.t) vs =
   Array.iter
@@ -246,14 +254,61 @@ let fractured (idx : Index.t) vs =
           | _ -> ()))
     idx.committed
 
-(* hb = (SO ∪ WR)⁺, the SO and WR edges of the CSR.  Once hb is known to
-   be acyclic, [clock.(u * ns + s)] — filled in a topological order — is
-   the last position in session [s] of an hb-predecessor of [u] (or of
-   [u] itself), so [u' hb* u] iff [clock.(u * ns + session u') >= pos u'].
-   A read of [y] is stale iff one of the reader's RW(y) successors — the
-   writers of the children of the version read — is an hb-predecessor:
-   tree edges are WR edges, so a descendant writer that precedes the
-   reader drags its ancestor child's writer along. *)
+(* [ancestor u r] iff [u hb* r], for an acyclic hb, from one row of ints
+   per vertex joined along hb edges in a topological order.  With few
+   sessions a row is a vector clock: entry [s] of [r]'s row is the last
+   position in session [s] of an hb-predecessor of [r] (or of [r]
+   itself), so [u hb* r] iff entry [session u] >= [pos u].  With more
+   sessions than ⌈n/63⌉ a row is the bitset of [r]'s hb-ancestors
+   instead, so the table holds n × min(sessions, ⌈n/63⌉) ints: about n²
+   bits at worst.  Sessions are renumbered densely first, since a
+   history may declare far more than it uses. *)
+let hb_ancestry (idx : Index.t) hb =
+  let n = Csr.n hb in
+  let dense = Array.make (idx.history.History.num_sessions + 1) (-1) in
+  let sess = Array.make n 0 and pos = Array.make n 0 in
+  let next = Array.make n 0 and ns = ref 0 in
+  Array.iteri
+    (fun v (t : Txn.t) ->
+      if dense.(t.session) < 0 then begin
+        dense.(t.session) <- !ns;
+        incr ns
+      end;
+      let s = dense.(t.session) in
+      sess.(v) <- s;
+      pos.(v) <- next.(s);
+      next.(s) <- pos.(v) + 1)
+    idx.committed;
+  let words = (n + 62) / 63 in
+  let clocks = !ns <= words in
+  let width = if clocks then !ns else words in
+  let row = Array.make (n * width) (if clocks then -1 else 0) in
+  List.iter
+    (fun u ->
+      let bu = u * width in
+      if clocks then row.(bu + sess.(u)) <- pos.(u)
+      else row.(bu + (u / 63)) <- row.(bu + (u / 63)) lor (1 lsl (u mod 63));
+      for e = hb.Csr.offsets.(u) to hb.Csr.offsets.(u + 1) - 1 do
+        let bv = hb.Csr.targets.(e) * width in
+        if clocks then
+          for i = 0 to width - 1 do
+            let a = row.(bu + i) in
+            if a > row.(bv + i) then row.(bv + i) <- a
+          done
+        else
+          for i = 0 to width - 1 do
+            row.(bv + i) <- row.(bv + i) lor row.(bu + i)
+          done
+      done)
+    (Option.get (Topo.sort_csr hb));
+  if clocks then fun u r -> row.((r * width) + sess.(u)) >= pos.(u)
+  else fun u r -> row.((r * width) + (u / 63)) land (1 lsl (u mod 63)) <> 0
+
+(* hb = (SO ∪ WR)⁺, the SO and WR edges of the CSR.  A read of [y] is
+   stale iff one of the reader's RW(y) successors — the writers of the
+   children of the version read — is an hb-predecessor: tree edges are
+   WR edges, so a descendant writer that precedes the reader drags its
+   ancestor child's writer along. *)
 let causal (idx : Index.t) d vs =
   let c = Deps.freeze d in
   let so_wr = function
@@ -261,32 +316,10 @@ let causal (idx : Index.t) d vs =
     | Deps.RT | Deps.WW _ | Deps.RW _ | Deps.Rt_chain -> false
   in
   let hb = Csr.filter so_wr c in
-  (match Cycle.find_csr hb with
-  | Some cycle -> raise (Bad (Hb_cycle (Deps.to_txn_cycle d cycle)))
-  | None -> ());
-  let n = Csr.n hb in
-  let ns = idx.history.History.num_sessions + 1 in
-  let sess = Array.make n 0 and pos = Array.make n 0 in
-  let next = Array.make ns 0 in
-  Array.iteri
-    (fun v (t : Txn.t) ->
-      sess.(v) <- t.session;
-      pos.(v) <- next.(t.session);
-      next.(t.session) <- pos.(v) + 1)
-    idx.committed;
-  let clock = Array.make (n * ns) (-1) in
-  List.iter
-    (fun u ->
-      clock.((u * ns) + sess.(u)) <- pos.(u);
-      for e = hb.Csr.offsets.(u) to hb.Csr.offsets.(u + 1) - 1 do
-        let v = hb.Csr.targets.(e) in
-        for s = 0 to ns - 1 do
-          let a = clock.((u * ns) + s) in
-          if a > clock.((v * ns) + s) then clock.((v * ns) + s) <- a
-        done
-      done)
-    (Option.get (Topo.sort_csr hb));
-  let precedes u r = u <> r && clock.((r * ns) + sess.(u)) >= pos.(u) in
+  acyclic_or (fun c -> Hb_cycle c) hb d;
+  Obs.Trace.with_span sp_causal @@ fun () ->
+  let ancestor = hb_ancestry idx hb in
+  let precedes u r = u <> r && ancestor u r in
   Array.iteri
     (fun rv (r : Txn.t) ->
       Txn.iter_external_reads r (fun _ y v ->
@@ -311,26 +344,25 @@ let causal (idx : Index.t) d vs =
 
 let check ?pool level h =
   try
-    (match History.unique_values ?pool h with
-    | Error msg -> raise (Bad (Malformed msg))
-    | Ok () -> ());
-    let idx = Index.build ?pool h in
-    (match Int_check.check ?pool idx with
-    | Error v -> raise (Bad (Intra v))
-    | Ok () -> ());
+    let idx =
+      match Checker.screened_index ?pool h with
+      | Ok idx -> idx
+      | Error (`Malformed msg) -> raise (Bad (Malformed msg))
+      | Error (`Intra v) -> raise (Bad (Intra v))
+    in
     let d =
       match Deps.build ?pool ~rt:Deps.No_rt idx with
       | Ok d -> d
       | Error e -> malformed "%s" (Format.asprintf "%a" Deps.pp_error e)
     in
     g1c d;
-    (match level with
-    | Read_committed -> ()
-    | Read_atomic -> fractured idx (versions idx (Deps.freeze d))
-    | Causal ->
-        let vs = versions idx (Deps.freeze d) in
-        fractured idx vs;
-        causal idx d vs);
+    if level <> Read_committed then begin
+      let vs =
+        Obs.Trace.with_span sp_versions (fun () -> versions idx (Deps.freeze d))
+      in
+      Obs.Trace.with_span sp_fractured (fun () -> fractured idx vs);
+      if level = Causal then causal idx d vs
+    end;
     Pass
   with Bad v -> Fail v
 

@@ -294,6 +294,44 @@ let random_mt ~seed ~keys ~txns ~sessions =
                   List.map (read ~later:(5 * later) (i + 1)) ks))
           shape))
 
+(* The hb table behind CC is a vector clock per transaction when there
+   are at most ⌈n/63⌉ sessions (the initial transaction's counted) and a
+   bitset of hb-ancestors otherwise.  The SI engine with the causality
+   fault over 2-3 sessions takes the clocks at 300 transactions and the
+   bitsets at 40, and reports stale reads either way. *)
+let test_hb_tables_match_reference () =
+  List.iter
+    (fun (sessions, txns) ->
+      let stale = ref 0 in
+      for seed = 1 to 20 do
+        let spec =
+          Mt_gen.generate
+            { Mt_gen.num_sessions = sessions; num_txns = txns; num_keys = 8;
+              dist = Distribution.Uniform; seed }
+        in
+        let db =
+          { Db.level = Isolation.Snapshot;
+            fault = Fault.Causality_violation 0.2; num_keys = 8; seed }
+        in
+        let h =
+          (Scheduler.run ~params:{ Scheduler.default_params with seed } ~db
+             ~spec ())
+            .Scheduler.history
+        in
+        (match disagreement h with
+        | Some msg ->
+            Alcotest.failf "%d sessions, %d txns, seed %d: %s" sessions txns
+              seed msg
+        | None -> ());
+        match Weak_checker.check_causal h with
+        | Weak_checker.Fail (Weak_checker.Causality _) -> incr stale
+        | _ -> ()
+      done;
+      if !stale = 0 then
+        Alcotest.failf "no causality violation at %d sessions, %d txns"
+          sessions txns)
+    [ (2, 300); (3, 300); (2, 40); (3, 40) ]
+
 let weak_source_gen =
   QCheck2.Gen.(
     let* seed = int_range 1 100_000 in
@@ -343,14 +381,15 @@ let prop_matches_reference =
    reachability matrix is quadratic: the list-based reference allocates
    over 400 words per op at RA and about 680 at CC on this history. *)
 
-let stream_history ~txns =
+(* [declared] is the session count the history claims; 16 are used. *)
+let stream_history ?(declared = 16) ~txns () =
   let p =
     { Stream_gen.default with
       num_txns = txns; num_keys = 2000; num_sessions = 16 }
   in
   let acc = ref [] in
   Stream_gen.generate p (fun t -> acc := t :: !acc);
-  History.of_array ~num_keys:p.num_keys ~num_sessions:p.num_sessions
+  History.of_array ~num_keys:p.num_keys ~num_sessions:declared
     (Array.of_list (History.init_txn ~num_keys:p.num_keys :: List.rev !acc))
 
 (* Words allocated (minor + major) by one call; the minimum of a few runs,
@@ -365,8 +404,8 @@ let words_of f =
   done;
   !best
 
-let test_alloc_linear () =
-  let h = stream_history ~txns:20_000 in
+let alloc_linear ?declared () =
+  let h = stream_history ?declared ~txns:20_000 () in
   let ops =
     Array.fold_left
       (fun n (t : Txn.t) -> n + Array.length t.ops)
@@ -380,6 +419,13 @@ let test_alloc_linear () =
         Alcotest.failf "%s allocated %.0f words on %d ops (%.1f per op)"
           (Weak_checker.level_name level) words ops per_op)
     [ Weak_checker.Read_atomic; Weak_checker.Causal ]
+
+let test_alloc_linear () = alloc_linear ()
+
+(* A header may declare far more sessions than its transactions use: the
+   hb table is sized by the sessions that occur, not by the declared
+   count (20k × 1M clocks would not fit in memory). *)
+let test_alloc_declared_sessions () = alloc_linear ~declared:1_000_000 ()
 
 let suite =
   [
@@ -396,6 +442,10 @@ let suite =
     ("causality fault breaks CC not RC", `Quick, test_causality_fault_breaks_cc_not_rc);
     ("catalogue matches the list reference", `Quick,
      test_catalogue_matches_reference);
+    ("clock and bitset hb tables match the list reference", `Quick,
+     test_hb_tables_match_reference);
     QCheck_alcotest.to_alcotest prop_matches_reference;
     ("RA/CC allocation linear on 20k txns", `Quick, test_alloc_linear);
+    ("RA/CC allocation linear with 1M declared sessions", `Quick,
+     test_alloc_declared_sessions);
   ]
