@@ -385,6 +385,14 @@ let service_rows () =
     (Bench_util.mt_history ~level:Isolation.Serializable ~keys ~txns ~seed:903 ())
       .Scheduler.history
   in
+  let fed (m : Metrics.t) = Obs.Counter.get m.txns_fed in
+  let feed_cols (m : Metrics.t) =
+    [
+      Printf.sprintf "%d" (Obs.Histogram.percentile m.feed_ns 50.0);
+      Printf.sprintf "%d" (Obs.Histogram.percentile m.feed_ns 99.0);
+      Printf.sprintf "%.0f" (Obs.Histogram.mean m.feed_words);
+    ]
+  in
   let one ?durable label addr =
     let metrics = Metrics.create () in
     let wal_dir =
@@ -431,7 +439,7 @@ let service_rows () =
                     | Ok sid -> sid
                     | Error e -> failwith ("service bench open: " ^ e)
                   in
-                  let fed0 = Metrics.txns_fed metrics in
+                  let fed0 = fed metrics in
                   let t0 = Unix.gettimeofday () in
                   (match Client.feed_history c ~sid h with
                   | Ok (Wire.V_ok _) -> ()
@@ -440,16 +448,12 @@ let service_rows () =
                   | Error e -> failwith ("service bench feed: " ^ e));
                   let dt = Unix.gettimeofday () -. t0 in
                   ignore (Client.close_session c ~sid);
-                  float_of_int (Metrics.txns_fed metrics - fed0) /. dt
+                  float_of_int (fed metrics - fed0) /. dt
                 in
                 let rates = List.sort compare (List.init reps (fun _ -> stream ())) in
-                [
-                  label;
-                  Printf.sprintf "%.0f" (List.nth rates (reps / 2));
-                  Printf.sprintf "%d" (Metrics.feed_p50_ns metrics);
-                  Printf.sprintf "%d" (Metrics.feed_p99_ns metrics);
-                  Printf.sprintf "%.0f" (Metrics.feed_words_mean metrics);
-                ]))
+                label
+                :: Printf.sprintf "%.0f" (List.nth rates (reps / 2))
+                :: feed_cols metrics))
   in
   (* Aggregate throughput with [k] concurrent sessions, each its own
      connection, on a server with [k] checking shards.  Client threads
@@ -496,13 +500,9 @@ let service_rows () =
         let threads = List.init k (fun _ -> Thread.create feed_one ()) in
         List.iter Thread.join threads;
         let dt = Unix.gettimeofday () -. t0 in
-        [
-          label;
-          Printf.sprintf "%.0f" (float_of_int (Metrics.txns_fed metrics) /. dt);
-          Printf.sprintf "%d" (Metrics.feed_p50_ns metrics);
-          Printf.sprintf "%d" (Metrics.feed_p99_ns metrics);
-          Printf.sprintf "%.0f" (Metrics.feed_words_mean metrics);
-        ])
+        label
+        :: Printf.sprintf "%.0f" (float_of_int (fed metrics) /. dt)
+        :: feed_cols metrics)
   in
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())

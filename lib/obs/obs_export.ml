@@ -87,3 +87,31 @@ let prometheus (r : Obs_metrics.registry) =
           Buffer.add_string b
             (Printf.sprintf "%s_count %d\n" name s.Obs_histogram.s_count));
   Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+
+(* [mtc_txns_fed_total] -> [txns_fed]: drop the namespace and the
+   counter suffix, which Prometheus needs and a JSON reader does not. *)
+let json_key name =
+  let p = if String.starts_with ~prefix:"mtc_" name then 4 else 0 in
+  let s = if String.ends_with ~suffix:"_total" name then 6 else 0 in
+  String.sub name p (String.length name - p - s)
+
+let json_members (r : Obs_metrics.registry) =
+  let acc = ref [] in
+  Obs_metrics.iter r (fun ~name ~help:_ inst ->
+      let value =
+        match inst with
+        | Obs_metrics.I_counter c -> string_of_int (Obs_metrics.Counter.get c)
+        | Obs_metrics.I_gauge g -> string_of_int (Obs_metrics.Gauge.get g)
+        | Obs_metrics.I_histogram h ->
+            let s = Obs_histogram.snapshot h in
+            Printf.sprintf
+              "{\"count\":%d,\"mean\":%.0f,\"p50\":%d,\"p99\":%d,\"max\":%d}"
+              s.Obs_histogram.s_count (Obs_histogram.mean_of s)
+              (Obs_histogram.percentile_of s 50.0)
+              (Obs_histogram.percentile_of s 99.0)
+              s.Obs_histogram.s_max
+      in
+      acc := Printf.sprintf "\"%s\":%s" (json_key name) value :: !acc);
+  List.rev !acc

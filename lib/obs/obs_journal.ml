@@ -1,7 +1,7 @@
-(* Structured service-event journal: per-domain rings of typed events,
-   same discipline as Obs_trace — disabled is one atomic load and a
-   branch, enabled appends unboxed ints into the calling domain's ring
-   (slots reserved with fetch_and_add, overwrite-on-wrap). *)
+(* Structured service-event journal: typed events in the same per-domain
+   [Obs_ring]s as Obs_trace's spans — disabled is one atomic load and a
+   branch, enabled stores five unboxed ints into the calling domain's
+   ring. *)
 
 let on = Atomic.make false
 
@@ -22,95 +22,48 @@ type kind =
   | Pin_warn
   | Pin_fence
 
-let kind_code = function
-  | Throttle_on -> 0
-  | Throttle_off -> 1
-  | Gc_compact -> 2
-  | Wal_fsync_stall -> 3
-  | Snapshot -> 4
-  | Session_open -> 5
-  | Session_close -> 6
-  | Session_resume -> 7
-  | Poison -> 8
-  | Pin_warn -> 9
-  | Pin_fence -> 10
+(* The one declaration of the kinds: a kind's wire code is its index
+   here, its JSONL name the string beside it. *)
+let kinds =
+  [|
+    (Throttle_on, "throttle_on");
+    (Throttle_off, "throttle_off");
+    (Gc_compact, "gc_compact");
+    (Wal_fsync_stall, "wal_fsync_stall");
+    (Snapshot, "snapshot");
+    (Session_open, "session_open");
+    (Session_close, "session_close");
+    (Session_resume, "session_resume");
+    (Poison, "poison");
+    (Pin_warn, "pin_warn");
+    (Pin_fence, "pin_fence");
+  |]
 
-let kind_of_code = function
-  | 0 -> Some Throttle_on
-  | 1 -> Some Throttle_off
-  | 2 -> Some Gc_compact
-  | 3 -> Some Wal_fsync_stall
-  | 4 -> Some Snapshot
-  | 5 -> Some Session_open
-  | 6 -> Some Session_close
-  | 7 -> Some Session_resume
-  | 8 -> Some Poison
-  | 9 -> Some Pin_warn
-  | 10 -> Some Pin_fence
-  | _ -> None
+(* [k] passed along rather than captured: a closure would allocate on
+   the enabled [emit] path *)
+let rec index_of k i = if fst kinds.(i) == k then i else index_of k (i + 1)
+let kind_code k = index_of k 0
 
-let kind_name = function
-  | Throttle_on -> "throttle_on"
-  | Throttle_off -> "throttle_off"
-  | Gc_compact -> "gc_compact"
-  | Wal_fsync_stall -> "wal_fsync_stall"
-  | Snapshot -> "snapshot"
-  | Session_open -> "session_open"
-  | Session_close -> "session_close"
-  | Session_resume -> "session_resume"
-  | Poison -> "poison"
-  | Pin_warn -> "pin_warn"
-  | Pin_fence -> "pin_fence"
+let kind_of_code c =
+  if c >= 0 && c < Array.length kinds then Some (fst kinds.(c)) else None
+
+let kind_name k = snd kinds.(kind_code k)
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain rings: four parallel int arrays (kind code, monotonic ns,
-   two payload words) plus the a-word; recording allocates nothing. *)
+(* Events are (kind code, monotonic ns, a, b, c) records in per-domain
+   rings. *)
 
-let cap_bits = 13
-let cap = 1 lsl cap_bits
-let mask = cap - 1
-
-type ring = {
-  r_dom : int;
-  r_idx : int Atomic.t;  (* total reservations since last clear *)
-  mutable r_cur : int;  (* drain cursor, guarded by rings_mu *)
-  r_kind : int array;
-  r_t : int array;
-  r_a : int array;
-  r_b : int array;
-  r_c : int array;
-}
-
-let rings_mu = Mutex.create ()
-let rings : ring list ref = ref []
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          r_dom = (Domain.self () :> int);
-          r_idx = Atomic.make 0;
-          r_cur = 0;
-          r_kind = Array.make cap 0;
-          r_t = Array.make cap 0;
-          r_a = Array.make cap 0;
-          r_b = Array.make cap 0;
-          r_c = Array.make cap 0;
-        }
-      in
-      Mutex.lock rings_mu;
-      rings := r :: !rings;
-      Mutex.unlock rings_mu;
-      r)
+let rings = Obs_ring.create ~width:5 ~cap_bits:13
 
 let record kind t a b c =
-  let r = Domain.DLS.get ring_key in
-  let i = Atomic.fetch_and_add r.r_idx 1 land mask in
-  Array.unsafe_set r.r_kind i kind;
-  Array.unsafe_set r.r_t i t;
-  Array.unsafe_set r.r_a i a;
-  Array.unsafe_set r.r_b i b;
-  Array.unsafe_set r.r_c i c
+  let r = Obs_ring.local rings in
+  let i = Obs_ring.reserve r in
+  let w = Obs_ring.words r in
+  Array.unsafe_set w i kind;
+  Array.unsafe_set w (i + 1) t;
+  Array.unsafe_set w (i + 2) a;
+  Array.unsafe_set w (i + 3) b;
+  Array.unsafe_set w (i + 4) c
 
 let emit kind ~a ~b ~c =
   if Atomic.get on then
@@ -128,61 +81,20 @@ type event = {
 }
 
 let event_at r i =
+  let w = Obs_ring.words r in
   {
-    j_kind = Option.value (kind_of_code r.r_kind.(i)) ~default:Throttle_on;
-    j_t = r.r_t.(i);
-    j_a = r.r_a.(i);
-    j_b = r.r_b.(i);
-    j_c = r.r_c.(i);
-    j_dom = r.r_dom;
+    j_kind = fst kinds.(w.(i));
+    j_t = w.(i + 1);
+    j_a = w.(i + 2);
+    j_b = w.(i + 3);
+    j_c = w.(i + 4);
+    j_dom = Obs_ring.dom r;
   }
 
-let by_time a b = compare a.j_t b.j_t
-
-let events () =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  Mutex.unlock rings_mu;
-  let acc = ref [] in
-  List.iter
-    (fun r ->
-      let total = Atomic.get r.r_idx in
-      let n = Stdlib.min total cap in
-      for k = total - n to total - 1 do
-        acc := event_at r (k land mask) :: !acc
-      done)
-    rs;
-  List.sort by_time !acc
-
-let drain () =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  let acc = ref [] in
-  List.iter
-    (fun r ->
-      let total = Atomic.get r.r_idx in
-      let start = Stdlib.max r.r_cur (total - cap) in
-      for k = start to total - 1 do
-        acc := event_at r (k land mask) :: !acc
-      done;
-      r.r_cur <- total)
-    rs;
-  Mutex.unlock rings_mu;
-  List.sort by_time !acc
-
-let dropped () =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  Mutex.unlock rings_mu;
-  List.fold_left
-    (fun acc r -> acc + Stdlib.max 0 (Atomic.get r.r_idx - cap))
-    0 rs
-
-let clear () =
-  Mutex.lock rings_mu;
-  List.iter
-    (fun r ->
-      Atomic.set r.r_idx 0;
-      r.r_cur <- 0)
-    !rings;
-  Mutex.unlock rings_mu
+(* stable: the ring order is emission order, which equal timestamps
+   keep *)
+let by_time = List.stable_sort (fun a b -> compare a.j_t b.j_t)
+let events () = by_time (Obs_ring.records rings event_at)
+let drain () = by_time (Obs_ring.drain rings event_at)
+let dropped () = Obs_ring.dropped rings
+let clear () = Obs_ring.clear rings

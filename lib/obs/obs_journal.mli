@@ -3,10 +3,11 @@
     Same recording discipline as {!Obs_trace}: disabled (the default)
     {!emit} is one [Atomic.get] and a branch with zero allocation, so
     emit sites can live permanently in the service hot path.  Enabled,
-    an event is four unboxed int stores into the calling domain's ring
-    (slot reserved with [Atomic.fetch_and_add]; systhreads share their
-    carrier domain's ring); rings overwrite on wrap and {!dropped}
-    accounts every overwritten event.
+    an event is five unboxed int stores into the calling domain's
+    {!Obs_ring} (2^13 events; slot reserved with
+    [Atomic.fetch_and_add]; systhreads share their carrier domain's
+    ring); rings overwrite on wrap and {!dropped} accounts every
+    overwritten event.
 
     An event is a {!kind} plus three int payload words whose meaning is
     per-kind (conventionally [a] = session id or shard, [b]/[c] =

@@ -42,11 +42,10 @@ type entry = { e_name : string; e_help : string; e_inst : instrument }
 
 type registry = {
   mu : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
-  mutable order : string list;  (* reversed registration order *)
+  mutable entries : entry list;  (* reversed registration order *)
 }
 
-let create () = { mu = Mutex.create (); tbl = Hashtbl.create 32; order = [] }
+let create () = { mu = Mutex.create (); entries = [] }
 let default = create ()
 
 let valid_name s =
@@ -57,59 +56,40 @@ let valid_name s =
        s
 
 (* Find-or-create under the registry mutex, so module-init registration
-   from several domains can race safely. *)
-let register r name help make match_existing =
+   from several domains can race safely.  The caller checks the kind of
+   what it gets back. *)
+let register r name help make =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Obs.Metrics: invalid metric name %S" name);
-  Mutex.lock r.mu;
-  let inst =
-    match Hashtbl.find_opt r.tbl name with
-    | Some e -> (
-        match match_existing e.e_inst with
-        | Some i -> i
-        | None ->
-            Mutex.unlock r.mu;
-            invalid_arg
-              (Printf.sprintf
-                 "Obs.Metrics: %S already registered with a different kind" name))
-    | None ->
-        let i = make () in
-        Hashtbl.replace r.tbl name
-          { e_name = name; e_help = help; e_inst = i };
-        r.order <- name :: r.order;
-        i
-  in
-  Mutex.unlock r.mu;
-  inst
+  Mutex.protect r.mu (fun () ->
+      match List.find_opt (fun e -> e.e_name = name) r.entries with
+      | Some e -> e.e_inst
+      | None ->
+          let i = make () in
+          r.entries <- { e_name = name; e_help = help; e_inst = i } :: r.entries;
+          i)
+
+let kind_clash name =
+  invalid_arg
+    (Printf.sprintf "Obs.Metrics: %S already registered with a different kind"
+       name)
 
 let counter r ?(help = "") name =
-  let i =
-    register r name help
-      (fun () -> I_counter (Counter.create ()))
-      (function I_counter x -> Some (I_counter x) | _ -> None)
-  in
-  match i with I_counter x -> x | _ -> assert false
+  match register r name help (fun () -> I_counter (Counter.create ())) with
+  | I_counter x -> x
+  | _ -> kind_clash name
 
 let gauge r ?(help = "") name =
-  let i =
-    register r name help
-      (fun () -> I_gauge (Gauge.create ()))
-      (function I_gauge x -> Some (I_gauge x) | _ -> None)
-  in
-  match i with I_gauge x -> x | _ -> assert false
+  match register r name help (fun () -> I_gauge (Gauge.create ())) with
+  | I_gauge x -> x
+  | _ -> kind_clash name
 
 let histogram r ?(help = "") name =
-  let i =
-    register r name help
-      (fun () -> I_histogram (Obs_histogram.create ()))
-      (function I_histogram x -> Some (I_histogram x) | _ -> None)
-  in
-  match i with I_histogram x -> x | _ -> assert false
+  match register r name help (fun () -> I_histogram (Obs_histogram.create ())) with
+  | I_histogram x -> x
+  | _ -> kind_clash name
 
 let iter r f =
-  Mutex.lock r.mu;
-  let entries =
-    List.rev_map (fun n -> Hashtbl.find r.tbl n) r.order
-  in
-  Mutex.unlock r.mu;
-  List.iter (fun e -> f ~name:e.e_name ~help:e.e_help e.e_inst) entries
+  List.iter
+    (fun e -> f ~name:e.e_name ~help:e.e_help e.e_inst)
+    (List.rev (Mutex.protect r.mu (fun () -> r.entries)))

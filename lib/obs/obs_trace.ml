@@ -41,48 +41,17 @@ let name_of id =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain rings.  Three parallel int arrays (not a record array) so
-   recording a span writes unboxed ints and allocates nothing.  A slot
-   is reserved with fetch_and_add because systhreads share their
-   carrier domain's ring; the ring wraps, overwriting oldest spans. *)
+(* Spans are (name id, t0, duration) records in per-domain rings. *)
 
-let cap_bits = 15
-let cap = 1 lsl cap_bits
-let mask = cap - 1
-
-type ring = {
-  r_dom : int;
-  r_idx : int Atomic.t;  (* total reservations since last clear *)
-  r_name : int array;
-  r_t0 : int array;
-  r_dur : int array;
-}
-
-let rings_mu = Mutex.create ()
-let rings : ring list ref = ref []
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          r_dom = (Domain.self () :> int);
-          r_idx = Atomic.make 0;
-          r_name = Array.make cap 0;
-          r_t0 = Array.make cap 0;
-          r_dur = Array.make cap 0;
-        }
-      in
-      Mutex.lock rings_mu;
-      rings := r :: !rings;
-      Mutex.unlock rings_mu;
-      r)
+let rings = Obs_ring.create ~width:3 ~cap_bits:15
 
 let record name t0 dur =
-  let r = Domain.DLS.get ring_key in
-  let i = Atomic.fetch_and_add r.r_idx 1 land mask in
-  Array.unsafe_set r.r_name i name;
-  Array.unsafe_set r.r_t0 i t0;
-  Array.unsafe_set r.r_dur i dur
+  let r = Obs_ring.local rings in
+  let i = Obs_ring.reserve r in
+  let w = Obs_ring.words r in
+  Array.unsafe_set w i name;
+  Array.unsafe_set w (i + 1) t0;
+  Array.unsafe_set w (i + 2) dur
 
 (* ------------------------------------------------------------------ *)
 
@@ -108,40 +77,19 @@ let instant name = if Atomic.get on then record name (Obs_clock.now_ns ()) 0
 
 (* ------------------------------------------------------------------ *)
 
-let clear () =
-  Mutex.lock rings_mu;
-  List.iter (fun r -> Atomic.set r.r_idx 0) !rings;
-  Mutex.unlock rings_mu
+let clear () = Obs_ring.clear rings
 
 type event = { ev_name : string; ev_t0 : int; ev_dur : int; ev_dom : int }
 
 let events () =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  Mutex.unlock rings_mu;
-  let acc = ref [] in
-  List.iter
-    (fun r ->
-      let total = Atomic.get r.r_idx in
-      let n = Stdlib.min total cap in
-      for k = total - n to total - 1 do
-        let i = k land mask in
-        acc :=
-          {
-            ev_name = name_of r.r_name.(i);
-            ev_t0 = r.r_t0.(i);
-            ev_dur = r.r_dur.(i);
-            ev_dom = r.r_dom;
-          }
-          :: !acc
-      done)
-    rs;
-  List.sort (fun a b -> compare a.ev_t0 b.ev_t0) !acc
+  Obs_ring.records rings (fun r i ->
+      let w = Obs_ring.words r in
+      {
+        ev_name = name_of w.(i);
+        ev_t0 = w.(i + 1);
+        ev_dur = w.(i + 2);
+        ev_dom = Obs_ring.dom r;
+      })
+  |> List.stable_sort (fun a b -> compare a.ev_t0 b.ev_t0)
 
-let dropped () =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  Mutex.unlock rings_mu;
-  List.fold_left
-    (fun acc r -> acc + Stdlib.max 0 (Atomic.get r.r_idx - cap))
-    0 rs
+let dropped () = Obs_ring.dropped rings

@@ -5,9 +5,10 @@
     [Online.add_txn] and [Pearce_kelly.add_edge] permanently.
 
     Enabled, {!exit} appends a completed span to the calling domain's
-    ring buffer: fixed capacity, overwrite-on-wrap (newest spans win,
-    {!dropped} counts the rest).  Systhreads share their domain's ring;
-    slots are reserved with [Atomic.fetch_and_add] so they never tear.
+    ring buffer ({!Obs_ring}, 2^15 spans): overwrite-on-wrap (newest
+    spans win, {!dropped} counts the rest).  Systhreads share their
+    domain's ring; slots are reserved with [Atomic.fetch_and_add] so
+    they never tear.
 
     Span names are interned once at module init
     ([let sp_x = Obs_trace.intern "..."]) so the hot path passes ints,

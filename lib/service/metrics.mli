@@ -1,116 +1,72 @@
-(** Process-wide service counters and per-feed latency histograms,
-    thread-safe, dumpable as JSON via the [Stats] frame and on server
-    shutdown.
+(** Process-wide service counters and per-feed histograms, thread-safe,
+    dumpable as JSON via the [Stats] frame and on server shutdown.
 
-    Backed by {!Obs.Metrics} instruments in a per-instance registry —
-    {!registry} exposes it for Prometheus exposition
-    ([mtc serve --metrics-port]). *)
+    Each metric is one {!Obs.Metrics} instrument, registered once by
+    {!create} in [reg] (names [mtc_]-prefixed; [mtc serve
+    --metrics-port] exposes the registry as Prometheus text).  Update
+    and read a metric through its field with [Obs.Counter], [Obs.Gauge]
+    or [Obs.Histogram]; histogram percentiles are bucket upper edges,
+    exact to within a factor of two. *)
 
-type t
+type t = {
+  reg : Obs.Metrics.registry;
+  created_at : float;  (** [Unix.gettimeofday] at {!create} *)
+  connections : Obs.Counter.t;
+  sessions_opened : Obs.Counter.t;
+  sessions_closed : Obs.Counter.t;
+  txns_fed : Obs.Counter.t;
+  syncs : Obs.Counter.t;
+  violations : Obs.Counter.t;
+  frames_in : Obs.Counter.t;
+  frames_out : Obs.Counter.t;
+  throttles : Obs.Counter.t;
+  protocol_errors : Obs.Counter.t;
+  queue_high_water : Obs.Gauge.t;  (** of any session's ingress queue *)
+  wal_bytes : Obs.Counter.t;
+  wal_fsyncs : Obs.Counter.t;
+  snapshots : Obs.Counter.t;  (** shard snapshots written *)
+  replay_frames : Obs.Counter.t;
+  replay_ms : Obs.Gauge.t;
+  open_conns : Obs.Gauge.t;
+  epoll_wakeups : Obs.Counter.t;
+      (** event-loop waits that delivered at least one readiness event *)
+  gc_runs : Obs.Counter.t;
+  gc_reclaimed_words : Obs.Counter.t;
+  live_words : Obs.Gauge.t;
+      (** aggregate live-word estimate across all online checkers *)
+  gc_last_reclaimed : Obs.Gauge.t;
+  horizon_pinned : Obs.Gauge.t;
+      (** sessions flagged by the horizon-pin detector *)
+  pin_fences : Obs.Counter.t;
+      (** sessions force-closed by [--pin-fence close] *)
+  feed_ns : Obs.Histogram.t;
+  feed_words : Obs.Histogram.t;
+      (** [Gc.minor_words] delta of each feed on its processing domain *)
+  gc_ns : Obs.Histogram.t;  (** watermark-compaction pauses *)
+}
 
 val create : unit -> t
 
 val global : t
 (** The instance [mtc serve] reports from. *)
 
-val registry : t -> Obs.Metrics.registry
-(** The underlying instrument registry (counter/gauge/histogram names
-    are [mtc_]-prefixed). *)
-
 val uptime_s : t -> float
 (** Seconds since [create]. *)
 
-(** {1 Recording} *)
-
-val connection : t -> unit
-val session_opened : t -> unit
-val session_closed : t -> unit
-val frame_in : t -> unit
-val frame_out : t -> unit
-val sync : t -> unit
-val violation : t -> unit
-val throttle : t -> unit
-val protocol_error : t -> unit
+(** {1 Recorders that update several instruments together} *)
 
 val feed : t -> ns:int -> words:int -> unit
 (** One transaction processed by a session worker, in [ns] nanoseconds,
-    allocating [words] minor-heap words ([Gc.minor_words] delta on the
-    processing domain). *)
-
-val queue_depth : t -> int -> unit
-(** Track the high-water mark of any session's ingress queue. *)
-
-val wal_write : t -> bytes:int -> unit
-(** One WAL append of [bytes] bytes. *)
-
-val wal_fsync : t -> unit
-(** Wire as the {!Wal.create} [on_fsync] hook. *)
-
-val snapshot : t -> unit
-(** One shard snapshot written. *)
+    allocating [words] minor-heap words. *)
 
 val replay : t -> frames:int -> ms:float -> unit
 (** Startup restore: [frames] WAL records replayed in [ms]
     milliseconds. *)
 
-val open_conns : t -> int -> unit
-(** Current open-connection count (gauge). *)
-
-val epoll_wakeup : t -> unit
-(** One event-loop wait that delivered at least one readiness event. *)
-
 val gc_run : t -> ns:int -> reclaimed:int -> unit
 (** One watermark compaction: pause of [ns] nanoseconds reclaiming
     [reclaimed] estimated words. *)
 
-val live_words : t -> int -> unit
-(** Current aggregate live-word estimate across all online checkers
-    (gauge; the server refreshes it after feeds and compactions). *)
-
-val pinned_sessions : t -> int -> unit
-(** Current count of sessions flagged by the horizon-pin detector
-    (gauge; the janitor recomputes it each tick). *)
-
-val pin_fence : t -> unit
-(** One session force-closed by the [--pin-fence close] policy. *)
-
-(** {1 Reading} *)
-
-val txns_fed : t -> int
-val violations : t -> int
-val throttles : t -> int
-val sessions_opened : t -> int
-val queue_high_water : t -> int
-
-val feed_p50_ns : t -> int
-val feed_p99_ns : t -> int
-(** Percentiles are bucket upper edges (log-bucketed histogram): exact
-    to within a factor of two. *)
-
-val feed_words_mean : t -> float
-val wal_bytes : t -> int
-val wal_fsyncs : t -> int
-val snapshots : t -> int
-val replay_frames : t -> int
-val open_conns_now : t -> int
-val epoll_wakeups : t -> int
-val gc_runs : t -> int
-val gc_reclaimed_words : t -> int
-val live_words_now : t -> int
-
-val gc_p99_ns : t -> int
-(** Compaction-pause p99; same bucket-edge caveat as the latency
-    percentiles. *)
-
-val pinned_sessions_now : t -> int
-val pin_fences : t -> int
-
-val feed_words_p50 : t -> int
-val feed_words_p99 : t -> int
-(** Per-feed allocated minor-heap words; same bucket-edge caveat as the
-    latency percentiles. *)
-
 val to_json : t -> string
-(** One JSON object with every counter plus the feed-latency,
-    feed-allocation and GC-pause summaries (count / mean / p50 / p99 /
-    max; nanoseconds, minor-heap words and nanoseconds respectively). *)
+(** One JSON object: ["uptime_s"], then every instrument of [reg] in
+    registration order under its {!Obs.Export.json_members} key. *)

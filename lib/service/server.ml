@@ -296,7 +296,7 @@ let send t conn frame =
       Buffer.clear conn.enc_out;
       Wire.encode ~scratch:conn.enc_scratch conn.enc_out frame;
       Queue.push (Buffer.contents conn.enc_out) conn.outq;
-      Metrics.frame_out t.config.metrics;
+      Obs.Counter.incr t.config.metrics.frames_out;
       if conn.flush_queued then false
       else begin
         conn.flush_queued <- true;
@@ -356,7 +356,7 @@ let wal_append t s record =
   | None -> ()
   | Some p -> (
       match Persist.append p ~shard:s.shard_ix record with
-      | bytes -> Metrics.wal_write t.config.metrics ~bytes
+      | bytes -> Obs.Counter.add t.config.metrics.wal_bytes bytes
       | exception (Unix.Unix_error _ | Sys_error _) ->
           if not (Atomic.exchange wal_warned true) then
             prerr_endline
@@ -371,7 +371,7 @@ let wal_close_record t s = wal_append t s (Wal.R_close { sid = s.sid })
 let publish_live t delta =
   if delta <> 0 then begin
     let total = Atomic.fetch_and_add t.live_total delta + delta in
-    Metrics.live_words t.config.metrics total
+    Obs.Gauge.set t.config.metrics.live_words total
   end
 
 let refresh_live t s online =
@@ -551,7 +551,7 @@ let process_session t s =
                     Metrics.feed m
                       ~ns:(int_of_float ((now () -. t0) *. 1e9))
                       ~words:(int_of_float (Gc.minor_words () -. w0));
-                    Metrics.violation m;
+                    Obs.Counter.incr m.violations;
                     send_ep
                       (Wire.Verdict
                          {
@@ -566,18 +566,18 @@ let process_session t s =
                     s.closing <- true;
                     Mutex.unlock s.smu;
                     wal_close_record t s;
-                    Metrics.protocol_error m;
+                    Obs.Counter.incr m.protocol_errors;
                     Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
                       ~b:(reason_code (Wire.R_protocol msg))
                       ~c:0;
                     send_ep
                       (Wire.Session_closed
                          { sid = s.sid; reason = Wire.R_protocol msg });
-                    Metrics.session_closed m;
+                    Obs.Counter.incr m.sessions_closed;
                     finish t s)
           end
       | I_sync seq ->
-          Metrics.sync m;
+          Obs.Counter.incr m.syncs;
           (* a [V_ok] ack promises the accepted prefix: group-commit it
              to the kernel before saying so ([Batch] mode also fsyncs,
              so the ack survives an OS crash, not just a server kill) *)
@@ -599,7 +599,7 @@ let process_session t s =
           Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
             ~b:(reason_code reason) ~c:0;
           send_ep (Wire.Session_closed { sid = s.sid; reason });
-          Metrics.session_closed m;
+          Obs.Counter.incr m.sessions_closed;
           finish t s
     end
   in
@@ -636,7 +636,7 @@ let do_checkpoint t sh =
       Mutex.unlock t.rmu;
       (match Persist.checkpoint p ~shard:sh.ix ~next_sid entries with
       | () ->
-          Metrics.snapshot t.config.metrics;
+          Obs.Counter.incr t.config.metrics.snapshots;
           Obs.Journal.emit Obs.Journal.Snapshot ~a:sh.ix
             ~b:(List.length entries) ~c:0
       | exception (Unix.Unix_error _ | Sys_error _) ->
@@ -745,7 +745,7 @@ let close_conn t conn =
     Evloop.remove t.ev conn.fd ~token:conn.token;
     Hashtbl.remove t.by_token conn.token;
     t.nconns <- t.nconns - 1;
-    Metrics.open_conns t.config.metrics t.nconns;
+    Obs.Gauge.set t.config.metrics.open_conns t.nconns;
     Mutex.lock conn.out_mu;
     conn.out_dead <- true;
     Mutex.unlock conn.out_mu;
@@ -805,7 +805,7 @@ let flush_conn t conn =
 
 (* Handshake refusal: answer, then flush-and-close. *)
 let fail_conn t conn code msg =
-  Metrics.protocol_error t.config.metrics;
+  Obs.Counter.incr t.config.metrics.protocol_errors;
   send t conn (Wire.Error { code; msg });
   conn.cstate <- C_flush_close;
   set_read_interest t conn false
@@ -830,7 +830,7 @@ let on_eof t conn =
   else if conn.paused_on <> None then conn.eof_seen <- true
   else if conn.inlen > 0 && not conn.draining then begin
     (* EOF mid-frame: a truncated stream, not a clean goodbye *)
-    Metrics.protocol_error t.config.metrics;
+    Obs.Counter.incr t.config.metrics.protocol_errors;
     abandon_conn t conn
   end
   else
@@ -879,7 +879,7 @@ let open_session t conn ~level ~num_keys ~skew ~ts ~gc =
   Mutex.lock conn.cmu;
   Hashtbl.replace conn.sessions sid s;
   Mutex.unlock conn.cmu;
-  Metrics.session_opened t.config.metrics;
+  Obs.Counter.incr t.config.metrics.sessions_opened;
   Obs.Journal.emit Obs.Journal.Session_open ~a:sid ~b:s.shard_ix ~c:0;
   (* the shard WALs the open and then sends [Session_opened], so the sid
      the client learns is already durable *)
@@ -906,7 +906,7 @@ let enqueue_bounded t conn s item =
     Mutex.unlock s.smu;
     (match announce with
     | Some queued ->
-        Metrics.throttle t.config.metrics;
+        Obs.Counter.incr t.config.metrics.throttles;
         Obs.Journal.emit Obs.Journal.Throttle_on ~a:s.sid ~b:queued ~c:0;
         send t conn (Wire.Throttle { sid = s.sid; queued })
     | None -> ());
@@ -915,7 +915,7 @@ let enqueue_bounded t conn s item =
   else begin
     Queue.push item s.queue;
     s.queued <- s.queued + 1;
-    Metrics.queue_depth t.config.metrics s.queued;
+    Obs.Gauge.max_update t.config.metrics.queue_high_water s.queued;
     Mutex.unlock s.smu;
     schedule s;
     `Ok
@@ -1073,7 +1073,7 @@ let handle_ready t conn frame =
   | Wire.Throttle _ | Wire.Resume _ | Wire.Stats_reply _
   | Wire.Session_closed _ | Wire.Error _ | Wire.Session_resumed _
   | Wire.Session_stats_reply _ ->
-      Metrics.protocol_error m;
+      Obs.Counter.incr m.protocol_errors;
       send t conn
         (Wire.Error
            {
@@ -1118,7 +1118,7 @@ let parse_frames t conn =
       else
         match Wire.of_string ~pos:!pos s with
         | Ok (frame, next) -> (
-            Metrics.frame_in t.config.metrics;
+            Obs.Counter.incr t.config.metrics.frames_in;
             match handle_frame t conn frame with
             | `Consumed -> pos := next
             | `Paused sess ->
@@ -1132,7 +1132,7 @@ let parse_frames t conn =
             if conn.cstate = C_hello then fail_conn t conn Wire.err_bad_frame msg
             else begin
               (* garbage mid-stream: abandon, like a broken reader *)
-              Metrics.protocol_error t.config.metrics;
+              Obs.Counter.incr t.config.metrics.protocol_errors;
               abandon_conn t conn
             end
     done;
@@ -1185,7 +1185,7 @@ let handle_readable t conn =
     | `Err ->
         if conn.draining then start_drain t conn ~reason:Wire.R_shutdown
         else begin
-          Metrics.protocol_error t.config.metrics;
+          Obs.Counter.incr t.config.metrics.protocol_errors;
           abandon_conn t conn
         end
   end
@@ -1227,8 +1227,8 @@ let make_conn t fd =
   in
   Hashtbl.replace t.by_token token (T_conn conn);
   t.nconns <- t.nconns + 1;
-  Metrics.connection t.config.metrics;
-  Metrics.open_conns t.config.metrics t.nconns;
+  Obs.Counter.incr t.config.metrics.connections;
+  Obs.Gauge.set t.config.metrics.open_conns t.nconns;
   Evloop.add t.ev fd ~token ~read:true ~write:false
 
 let rec do_accept t lfd addr =
@@ -1332,7 +1332,7 @@ let ev_loop t =
               if readable then handle_readable t conn;
               if writable && not conn.gone then flush_conn t conn)
     in
-    if delivered > 0 then Metrics.epoll_wakeup t.config.metrics;
+    if delivered > 0 then Obs.Counter.incr t.config.metrics.epoll_wakeups;
     drain_actions t;
     if stopping t then begin
       if not t.drain_started then begin
@@ -1382,7 +1382,7 @@ let metrics_body t =
   let config = t.config in
   Printf.sprintf "# TYPE mtc_uptime_seconds gauge\nmtc_uptime_seconds %.3f\n"
     (Metrics.uptime_s config.metrics)
-  ^ Obs.Export.prometheus (Metrics.registry config.metrics)
+  ^ Obs.Export.prometheus config.metrics.reg
   ^ Obs.Export.prometheus Obs.Metrics.default
   ^ Printf.sprintf
       "# HELP mtc_trace_dropped_spans Spans lost to ring overwrite\n\
@@ -1542,7 +1542,7 @@ let pin_sweep t nowf =
                 if t.config.pin_fence = Fence_close then begin
                   Obs.Journal.emit Obs.Journal.Pin_fence ~a:s.sid
                     ~b:stalled_ns ~c:0;
-                  Metrics.pin_fence t.config.metrics
+                  Obs.Counter.incr t.config.metrics.pin_fences
                 end
               end;
               first && t.config.pin_fence = Fence_close
@@ -1555,7 +1555,7 @@ let pin_sweep t nowf =
       in
       if fence then force_enqueue s (I_close Wire.R_pinned))
     ss;
-  Metrics.pinned_sessions t.config.metrics !pinned_count
+  Obs.Gauge.set t.config.metrics.horizon_pinned !pinned_count
 
 let janitor_loop t =
   let idle = t.config.idle_timeout in
@@ -1625,7 +1625,7 @@ let start config =
         match
           Persist.open_dir
             ~on_fsync:(fun ns ->
-              Metrics.wal_fsync config.metrics;
+              Obs.Counter.incr config.metrics.wal_fsyncs;
               if ns > wal_stall_ns then
                 Obs.Journal.emit Obs.Journal.Wal_fsync_stall ~a:0 ~b:ns ~c:0)
             ~dir ~nshards ~sync:config.wal_sync

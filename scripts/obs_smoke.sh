@@ -3,7 +3,8 @@
 # must print a phase table whose footer accounts for most of the wall
 # time, `--trace` must write Chrome trace-event JSON that a JSON parser
 # accepts, and `mtc serve --metrics-port` must expose Prometheus text
-# over HTTP that `mtc stats --metrics-http` can scrape.  Wired into
+# over HTTP that `mtc stats --metrics-http` can scrape, with a family
+# for every key of `mtc stats --json`.  Wired into
 # `dune build @check` from the root dune file.
 set -u
 
@@ -78,8 +79,24 @@ grep -q '^mtc_feed_ns_bucket{le="+Inf"}' "$TMP/prom.out" \
   || fail "stats over the socket must work"
 grep -Eq '^txns_fed +[1-9]' "$TMP/stats.out" \
   || fail "stats table must show the fed txns (see $TMP/stats.out)"
-"$MTC" stats -a "unix:$SOCK" --json | grep -Eq '"txns_fed":[1-9]' \
+"$MTC" stats -a "unix:$SOCK" --json > "$TMP/stats.json" \
+  || fail "stats --json over the socket must work"
+grep -Eq '"txns_fed":[1-9]' "$TMP/stats.json" \
   || fail "stats --json must emit the raw frame"
+
+# -- one registry, two surfaces: every top-level key of the stats JSON
+# names a Prometheus family of the same server, mtc_<key> or
+# mtc_<key>_total (uptime_s is mtc_uptime_seconds).  Nested histogram
+# objects are flattened away before the keys are listed.
+KEYS=$(sed -e 's/^{//' -e 's/}$//' -e 's/{[^{}]*}/0/g' "$TMP/stats.json" \
+  | grep -o '"[a-z0-9_]*":' | tr -d '":')
+[ -n "$KEYS" ] || fail "no keys in stats --json (see $TMP/stats.json)"
+for k in $KEYS; do
+  fam="mtc_$k"
+  [ "$k" = uptime_s ] && fam=mtc_uptime_seconds
+  grep -Eq "^# TYPE ${fam}(_total)? " "$TMP/prom.out" \
+    || fail "stats key '$k' has no '# TYPE $fam' family in the scrape"
+done
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server must exit 0 on SIGTERM"

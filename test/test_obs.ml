@@ -1,8 +1,9 @@
 (* Tests for the observability layer: histogram percentiles against a
    sorted-array oracle, span recording across domains, exporter output
    validity (a small JSON parser for the Chrome trace, a line grammar
-   for the Prometheus text), profile aggregation, and the
-   zero-allocation guarantee of the disabled tracing path. *)
+   for the Prometheus text), the service registry's derived surfaces,
+   profile aggregation, the journal's kind table and ring cursor, and
+   the zero-allocation guarantee of both recording paths. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 let checkb = Alcotest.check Alcotest.bool
@@ -438,17 +439,104 @@ let test_prometheus_grammar_and_buckets () =
   checkb "has count line" true
     (List.exists (fun l -> l = "t_hist_count 5") lines)
 
+(* Touches every service instrument, each with its own value. *)
+let record_every_service_metric (m : Metrics.t) =
+  Obs.Counter.add m.connections 3;
+  Obs.Counter.add m.sessions_opened 2;
+  Obs.Counter.incr m.sessions_closed;
+  Obs.Counter.add m.syncs 4;
+  Obs.Counter.incr m.violations;
+  Obs.Counter.add m.frames_in 7;
+  Obs.Counter.add m.frames_out 6;
+  Obs.Counter.add m.throttles 2;
+  Obs.Counter.incr m.protocol_errors;
+  Obs.Gauge.max_update m.queue_high_water 17;
+  Obs.Gauge.max_update m.queue_high_water 5;
+  Obs.Counter.add m.wal_bytes 4096;
+  Obs.Counter.add m.wal_fsyncs 3;
+  Obs.Counter.incr m.snapshots;
+  Metrics.replay m ~frames:12 ~ms:3.6;
+  Obs.Gauge.set m.open_conns 2;
+  Obs.Counter.add m.epoll_wakeups 9;
+  Metrics.gc_run m ~ns:250_000 ~reclaimed:640;
+  Metrics.gc_run m ~ns:1_000_000 ~reclaimed:100;
+  Obs.Gauge.set m.live_words 12345;
+  Obs.Gauge.set m.horizon_pinned 1;
+  Obs.Counter.incr m.pin_fences;
+  List.iter
+    (fun (ns, words) -> Metrics.feed m ~ns ~words)
+    [ (1234, 88); (5000, 120); (70_000, 300) ]
+
+(* The keys of a JSON object's top level (its values hold no strings). *)
+let top_level_keys json =
+  let keys = ref [] and depth = ref 0 and i = ref 0 in
+  while !i < String.length json do
+    (match json.[!i] with
+    | '{' -> incr depth
+    | '}' -> decr depth
+    | '"' ->
+        let j = String.index_from json (!i + 1) '"' in
+        if !depth = 1 then
+          keys := String.sub json (!i + 1) (j - !i - 1) :: !keys;
+        i := j
+    | _ -> ());
+    incr i
+  done;
+  List.rev !keys
+
+(* Both service surfaces are derived from the registry.  The expected
+   [Stats] JSON (less "uptime_s") is what the hand-written serializer
+   the derivation replaced gave for the same recording, and the digest
+   is that revision's exposition of it.  Every JSON key [k] names the
+   Prometheus family [mtc_k] or [mtc_k_total]. *)
 let test_prometheus_service_registry () =
   let m = Metrics.create () in
-  Metrics.connection m;
-  Metrics.feed m ~ns:1234 ~words:88;
-  Metrics.queue_depth m 17;
-  let text = Obs.Export.prometheus (Metrics.registry m) in
+  record_every_service_metric m;
+  let json = Metrics.to_json m in
+  let uptime, rest =
+    match String.index_opt json ',' with
+    | Some i ->
+        (String.sub json 0 i,
+         String.sub json (i + 1) (String.length json - i - 1))
+    | None -> Alcotest.failf "one-member stats JSON %S" json
+  in
+  checkb "uptime_s leads" true
+    (String.starts_with ~prefix:"{\"uptime_s\":" uptime);
+  Alcotest.(check string)
+    "stats JSON"
+    "\"connections\":3,\"sessions_opened\":2,\"sessions_closed\":1,\
+     \"txns_fed\":3,\"syncs\":4,\"violations\":1,\"frames_in\":7,\
+     \"frames_out\":6,\"throttles\":2,\"protocol_errors\":1,\
+     \"queue_high_water\":17,\"wal_bytes\":4096,\"wal_fsyncs\":3,\
+     \"snapshots\":1,\"replay_frames\":12,\"replay_ms\":4,\
+     \"open_conns\":2,\"epoll_wakeups\":9,\"gc_runs\":2,\
+     \"gc_reclaimed_words\":740,\"live_words\":12345,\
+     \"gc_last_reclaimed_words\":100,\"horizon_pinned_sessions\":1,\
+     \"pin_fences\":1,\
+     \"feed_ns\":{\"count\":3,\"mean\":25411,\"p50\":8191,\
+     \"p99\":70000,\"max\":70000},\
+     \"feed_words\":{\"count\":3,\"mean\":169,\"p50\":127,\
+     \"p99\":300,\"max\":300},\
+     \"gc_ns\":{\"count\":2,\"mean\":625000,\"p50\":262143,\
+     \"p99\":1000000,\"max\":1000000}}"
+    rest;
+  (match parse_json json with
+  | () -> ()
+  | exception Bad_json e -> Alcotest.failf "invalid stats JSON: %s\n%s" e json);
+  let text = Obs.Export.prometheus m.reg in
   check_prometheus_grammar text;
-  checkb "has connections counter" true
-    (List.exists
-       (fun l -> l = "mtc_connections_total 1")
-       (String.split_on_char '\n' text))
+  Alcotest.(check string)
+    "exposition digest" "132d2330233fbe8b03d843dcc883e530"
+    (Digest.to_hex (Digest.string text));
+  let lines = String.split_on_char '\n' text in
+  let family name =
+    List.exists (String.starts_with ~prefix:("# TYPE " ^ name ^ " ")) lines
+  in
+  List.iter
+    (fun k ->
+      if not (k = "uptime_s" || family ("mtc_" ^ k) || family ("mtc_" ^ k ^ "_total"))
+      then Alcotest.failf "JSON key %S has no Prometheus family" k)
+    (top_level_keys json)
 
 (* ------------------------------------------------------------------ *)
 (* Event journal. *)
@@ -498,21 +586,56 @@ let test_journal_drain_consumes () =
       checki "events () non-consuming" 2
         (List.length (Obs.Journal.events ())))
 
-(* ------------------------------------------------------------------ *)
-(* The zero-allocation guarantee of the disabled path. *)
+(* The kinds' wire codes and JSONL names are protocol: pinned here, and
+   every code round-trips. *)
+let test_journal_kind_table () =
+  let open Obs.Journal in
+  List.iteri
+    (fun code (k, name) ->
+      checki name code (kind_code k);
+      Alcotest.(check string) "name" name (kind_name k);
+      checkb name true (kind_of_code code = Some k))
+    [
+      (Throttle_on, "throttle_on");
+      (Throttle_off, "throttle_off");
+      (Gc_compact, "gc_compact");
+      (Wal_fsync_stall, "wal_fsync_stall");
+      (Snapshot, "snapshot");
+      (Session_open, "session_open");
+      (Session_close, "session_close");
+      (Session_resume, "session_resume");
+      (Poison, "poison");
+      (Pin_warn, "pin_warn");
+      (Pin_fence, "pin_fence");
+    ];
+  checkb "code past the table" true (kind_of_code 11 = None);
+  checkb "negative code" true (kind_of_code (-1) = None)
 
-let test_disabled_path_allocates_nothing () =
-  Obs.Trace.disable ();
-  let spin () =
-    for _ = 1 to 10_000 do
-      let t0 = Obs.Trace.enter () in
-      Obs.Trace.exit sp_outer t0
-    done
-  in
-  (* Minimum of a few runs: Gc.allocated_bytes can absorb counters from
-     domains terminated by earlier suites, inflating a single delta.
-     The empty-loop baseline subtracts what Gc.allocated_bytes itself
-     boxes (a float per call). *)
+(* Past a wrap, [drain] hands back exactly the surviving events, oldest
+   first, and [dropped] accounts for every overwritten one. *)
+let test_journal_drain_after_wrap () =
+  let cap = 1 lsl 13 and extra = 100 in
+  Obs.Journal.clear ();
+  Obs.Journal.enable ();
+  Fun.protect ~finally:Obs.Journal.disable (fun () ->
+      for i = 1 to cap + extra do
+        Obs.Journal.emit Obs.Journal.Snapshot ~a:i ~b:0 ~c:0
+      done;
+      let seqs = List.map (fun e -> e.Obs.Journal.j_a) (Obs.Journal.drain ()) in
+      checkb "survivors, oldest first" true
+        (seqs = List.init cap (fun k -> extra + 1 + k));
+      checki "every overwritten event dropped" extra (Obs.Journal.dropped ());
+      checki "second drain empty" 0 (List.length (Obs.Journal.drain ())))
+
+(* ------------------------------------------------------------------ *)
+(* The zero-allocation guarantee of both recording paths. *)
+
+(* Bytes [f] allocates beyond an empty loop.  Minimum of a few runs:
+   Gc.allocated_bytes can absorb counters from domains terminated by
+   earlier suites, inflating a single delta.  The empty-loop baseline
+   subtracts what Gc.allocated_bytes itself boxes (a float per call).
+   The warm-up run also creates the calling domain's ring. *)
+let allocated_beyond_baseline f =
   let measure f =
     f () (* warm-up *);
     let best = ref infinity in
@@ -525,36 +648,51 @@ let test_disabled_path_allocates_nothing () =
     !best
   in
   let baseline = measure (fun () -> ()) in
-  let spans = measure spin in
-  if spans > baseline then
-    Alcotest.failf "disabled span path allocated %.0f bytes over 10k spans"
-      (spans -. baseline)
+  measure f -. baseline
+
+let spin_spans () =
+  for _ = 1 to 10_000 do
+    let t0 = Obs.Trace.enter () in
+    Obs.Trace.exit sp_outer t0;
+    Obs.Trace.instant sp_inner
+  done
+
+let spin_emits () =
+  for i = 1 to 10_000 do
+    Obs.Journal.emit Obs.Journal.Gc_compact ~a:i ~b:i ~c:i
+  done
+
+let test_disabled_path_allocates_nothing () =
+  Obs.Trace.disable ();
+  let d = allocated_beyond_baseline spin_spans in
+  if d > 0. then
+    Alcotest.failf "disabled span path allocated %.0f bytes over 10k spans" d
 
 (* Same guarantee for the event journal: a disabled [emit] is one atomic
    load and a branch — no event record, no ring touch, no allocation. *)
 let test_disabled_journal_allocates_nothing () =
   Obs.Journal.disable ();
-  let spin () =
-    for i = 1 to 10_000 do
-      Obs.Journal.emit Obs.Journal.Gc_compact ~a:i ~b:i ~c:i
-    done
-  in
-  let measure f =
-    f () (* warm-up *);
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let a0 = Gc.allocated_bytes () in
-      f ();
-      let d = Gc.allocated_bytes () -. a0 in
-      if d < !best then best := d
-    done;
-    !best
-  in
-  let baseline = measure (fun () -> ()) in
-  let emits = measure spin in
-  if emits > baseline then
+  let d = allocated_beyond_baseline spin_emits in
+  if d > 0. then
     Alcotest.failf "disabled journal path allocated %.0f bytes over 10k emits"
-      (emits -. baseline)
+      d
+
+(* Enabled, recording is a slot reservation and unboxed stores into the
+   domain's ring: still no allocation. *)
+let test_enabled_path_allocates_nothing () =
+  let d = with_tracing (fun () -> allocated_beyond_baseline spin_spans) in
+  if d > 0. then
+    Alcotest.failf "enabled span path allocated %.0f bytes over 10k spans" d
+
+let test_enabled_journal_allocates_nothing () =
+  Obs.Journal.clear ();
+  Obs.Journal.enable ();
+  let d =
+    Fun.protect ~finally:Obs.Journal.disable (fun () ->
+        allocated_beyond_baseline spin_emits)
+  in
+  if d > 0. then
+    Alcotest.failf "enabled journal path allocated %.0f bytes over 10k emits" d
 
 let suite =
   [
@@ -591,8 +729,14 @@ let suite =
     qtest prop_journal_concurrent_appends;
     ("journal: drain consumes, events does not", `Quick,
      test_journal_drain_consumes);
+    ("journal: kind codes and names pinned", `Quick, test_journal_kind_table);
+    ("journal: drain after a wrap", `Quick, test_journal_drain_after_wrap);
     ("disabled tracing allocates nothing", `Quick,
      test_disabled_path_allocates_nothing);
     ("disabled journal allocates nothing", `Quick,
      test_disabled_journal_allocates_nothing);
+    ("enabled tracing allocates nothing", `Quick,
+     test_enabled_path_allocates_nothing);
+    ("enabled journal allocates nothing", `Quick,
+     test_enabled_journal_allocates_nothing);
   ]

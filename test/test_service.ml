@@ -446,9 +446,9 @@ let test_service_backpressure () =
           | Ok _ -> Alcotest.fail "long chain must pass SER"
           | Error e -> Alcotest.fail ("feed: " ^ e));
           checkb "server throttled at least once" true
-            (Metrics.throttles metrics >= 1);
+            (Obs.Counter.get metrics.Metrics.throttles >= 1);
           checkb "queue high-water bounded by capacity" true
-            (Metrics.queue_high_water metrics <= 4)))
+            (Obs.Gauge.get metrics.Metrics.queue_high_water <= 4)))
 
 (* Sessions idle past the timeout are closed with reason idle. *)
 let test_service_idle_timeout () =
@@ -499,7 +499,8 @@ let test_service_pin_detector () =
           | Ok _ -> Alcotest.fail "unexpected verdict"
           | Error e -> Alcotest.fail ("feed: " ^ e));
           Thread.delay 0.5;
-          checki "pinned gauge trips" 1 (Metrics.pinned_sessions_now metrics);
+          checki "pinned gauge trips" 1
+            (Obs.Gauge.get metrics.Metrics.horizon_pinned);
           (match Client.session_stats c with
           | Error e -> Alcotest.fail ("session stats: " ^ e)
           | Ok (ss, evs, _) ->
@@ -574,7 +575,8 @@ let test_service_pin_fence_close () =
           | Some Wire.R_pinned -> ()
           | Some _ -> Alcotest.fail "stalled session closed for wrong reason"
           | None -> Alcotest.fail "stalled session never fenced");
-          checkb "fence counter ticked" true (Metrics.pin_fences metrics >= 1)))
+          checkb "fence counter ticked" true
+            (Obs.Counter.get metrics.Metrics.pin_fences >= 1)))
 
 (* Graceful shutdown drains what was already queued. *)
 let test_service_graceful_drain () =
@@ -609,7 +611,8 @@ let test_service_graceful_drain () =
   (* stop while the slow worker still has items queued: they must all be
      processed before the server says goodbye *)
   Server.stop t;
-  checki "every queued transaction was drained" n (Metrics.txns_fed metrics);
+  checki "every queued transaction was drained" n
+    (Obs.Counter.get metrics.Metrics.txns_fed);
   Client.close c
 
 (* TCP transport (ephemeral port) and the stats frame. *)
