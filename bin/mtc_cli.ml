@@ -1430,12 +1430,12 @@ let wal_dump_cmd =
           info.Snapshot_store.i_next_sid
           (List.length info.Snapshot_store.i_entries);
         List.iter
-          (fun (e : Snapshot_store.entry) ->
+          (fun (e : Session_state.t) ->
             Printf.printf "  session %d: %s, %d keys, last_seq %d, %s\n" e.sid
-              (Checker.level_name e.meta.Snapshot_store.level)
-              e.meta.Snapshot_store.num_keys e.last_seq
+              (Checker.level_name e.params.level)
+              e.params.num_keys e.last_seq
               (match e.state with
-              | Snapshot_store.Live online ->
+              | Live online ->
                   let gc = Online.gc_policy online in
                   Printf.sprintf "live (%d txns, %d words live%s)"
                     (Online.txns_seen online)
@@ -1446,7 +1446,7 @@ let wal_dump_cmd =
                          (Online.gc_to_string gc)
                          (Online.gc_runs online)
                          (Online.gc_reclaimed_words online))
-              | Snapshot_store.Poisoned { anomaly; _ } ->
+              | Poisoned { anomaly; _ } ->
                   Printf.sprintf "poisoned%s"
                     (match anomaly with
                     | Some a -> " [" ^ a ^ "]"
@@ -1470,7 +1470,8 @@ let wal_dump_cmd =
           List.iter
             (fun r ->
               match r with
-              | Wal.R_open { sid; level; num_keys; skew; ts; gc } ->
+              | Wal.R_open
+                  { sid; params = { level; num_keys; skew; ts; gc } } ->
                   Printf.printf
                     "  open  sid=%d %s num_keys=%d skew=%d ts=%s gc=%s\n" sid
                     (Checker.level_name level) num_keys skew
@@ -1495,7 +1496,7 @@ let wal_dump_cmd =
                 Hashtbl.replace tbl sid (f cur)
               in
               match r with
-              | Wal.R_open { sid; gc; _ } ->
+              | Wal.R_open { sid; params = { gc; _ } } ->
                   touch sid (fun (_, feeds, mx, closed) ->
                       (Some gc, feeds, mx, closed))
               | Wal.R_feed { sid; seq; _ } ->

@@ -43,6 +43,12 @@ module Source = struct
         done;
         Bytes.unsafe_to_string b
 
+  let get_u32le t pos =
+    Char.code (get t pos)
+    lor (Char.code (get t (pos + 1)) lsl 8)
+    lor (Char.code (get t (pos + 2)) lsl 16)
+    lor (Char.code (get t (pos + 3)) lsl 24)
+
   let map_file path =
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect
@@ -73,6 +79,10 @@ let read_byte r =
   let b = Char.code (Source.get r.src r.pos) in
   r.pos <- r.pos + 1;
   b
+
+let read_enum what of_byte r =
+  let b = read_byte r in
+  match of_byte b with Some x -> x | None -> fail "unknown %s byte %d" what b
 
 let read_bytes r len =
   if len < 0 || len > remaining r then
@@ -126,3 +136,29 @@ let read_string r =
   let s = Source.sub_string r.src r.pos len in
   r.pos <- r.pos + len;
   s
+
+(* Fixed-width little-endian u32: the length and CRC fields of the WAL
+   and snapshot files. *)
+let add_u32le buf n =
+  Buffer.add_char buf (Char.chr (n land 0xff));
+  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
+  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
+  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+
+(* ------------------------------------------------------------------ *)
+(* Blocking file-descriptor I/O shared by the wire and the durable
+   files. *)
+
+let rec really_write fd b off len =
+  if len > 0 then
+    let n =
+      try Unix.write fd b off len
+      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+    in
+    really_write fd b (off + n) (len - n)
+
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)

@@ -37,6 +37,9 @@ module Source : sig
   val sub_string : t -> int -> int -> string
   (** Copy a range out as a string ([pos], [len] must be in bounds). *)
 
+  val get_u32le : t -> int -> int
+  (** Little-endian u32 at [pos] (the four bytes must be in bounds). *)
+
   val map_file : string -> t
   (** Read-only map of a whole file ([Str ""] for an empty file, which
       cannot be mapped).  The fd is closed before returning — the
@@ -62,6 +65,12 @@ val seek : reader -> int -> unit
 
 val read_byte : reader -> int
 
+val read_enum : string -> (int -> 'a option) -> reader -> 'a
+(** [read_enum what of_byte r] reads one byte and maps it through
+    [of_byte].
+    @raise Decode_error ["unknown <what> byte <b>"] if it maps to
+    nothing. *)
+
 val read_bytes : reader -> int -> string
 (** [read_bytes r len] copies the next [len] raw bytes out as a string.
     @raise Decode_error if fewer than [len] bytes remain. *)
@@ -76,3 +85,18 @@ val read_varint : reader -> int
 
 val add_string : Buffer.t -> string -> unit
 val read_string : reader -> string
+
+val add_u32le : Buffer.t -> int -> unit
+(** Fixed-width little-endian u32 (the WAL and snapshot length and CRC
+    fields). *)
+
+(** {1 File-descriptor I/O} *)
+
+val really_write : Unix.file_descr -> Bytes.t -> int -> int -> unit
+(** [really_write fd b off len] writes all [len] bytes, retrying short
+    writes and [EINTR].
+    @raise Unix.Unix_error on any other write failure. *)
+
+val fsync_dir : string -> unit
+(** Best-effort [fsync] of a directory (after a create, rename or
+    unlink in it); an unopenable directory is skipped silently. *)

@@ -9,6 +9,14 @@ let level_of_string s =
   | "SI" -> Some SI
   | _ -> None
 
+let level_to_byte = function SSER -> 0 | SER -> 1 | SI -> 2
+
+let level_of_byte = function
+  | 0 -> Some SSER
+  | 1 -> Some SER
+  | 2 -> Some SI
+  | _ -> None
+
 type violation =
   | Intra of Int_check.violation
   | Diverged of Divergence.instance

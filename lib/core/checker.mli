@@ -17,6 +17,14 @@ type level = SSER | SER | SI
 val level_name : level -> string
 val level_of_string : string -> level option
 
+val level_to_byte : level -> int
+(** The level's byte in every binary format (wire frames, WAL and
+    snapshot files, {!Online.encode}). *)
+
+val level_of_byte : int -> level option
+(** Inverse of {!level_to_byte}; [None] for an unknown byte (each
+    decoder reports it in its own words). *)
+
 type violation =
   | Intra of Int_check.violation
       (** INT-screen failure: thin-air / aborted / intra-transactional *)

@@ -79,14 +79,36 @@ let naive_rt_edges ~skew (idx : Index.t) m emit =
 
 (* --- construction: flat edge streams, frozen straight into a CSR --- *)
 
-(* Int-packed edge labels for the flat edge stream: 0/1/2 are the keyless
-   constants, a keyed label packs as [4 + (key lsl 2) lor tag]. *)
+(* Int-packed edge labels, shared by the flat edge stream and the online
+   checker's label map: 0/1/2 are the keyless constants, a keyed label
+   packs as [4 + (key lsl 2) lor tag]. *)
 let lab_rt = 0
 let lab_so = 1
 let lab_chain = 2
 let pack_wr k = 4 + ((k lsl 2) lor 0)
 let pack_ww k = 4 + ((k lsl 2) lor 1)
 let pack_rw k = 4 + ((k lsl 2) lor 2)
+
+let pack_dep = function
+  | RT -> lab_rt
+  | SO -> lab_so
+  | Rt_chain -> lab_chain
+  | WR k -> pack_wr k
+  | WW k -> pack_ww k
+  | RW k -> pack_rw k
+
+(* [keyed tag key] builds a keyed label (tag 0 = WR, 1 = WW, 2 = RW). *)
+let unpack_keyed keyed p =
+  if p = lab_rt then RT
+  else if p = lab_so then SO
+  else if p = lab_chain then Rt_chain
+  else
+    let q = p - 4 in
+    keyed (q land 3) (q lsr 2)
+
+let unpack_dep =
+  unpack_keyed (fun tag k ->
+      match tag with 0 -> WR k | 1 -> WW k | _ -> RW k)
 
 let writes_key_ops ops k =
   let n = Array.length ops in
@@ -358,21 +380,15 @@ let build ?(skew = 0) ?pool ?ts ~rt (idx : Index.t) =
          one block instead of allocating per edge; the caches are
          immutable after creation, hence safely shared by every decoding
          domain. *)
-      let wr_cache = Array.init num_keys (fun k -> WR k)
-      and ww_cache = Array.init num_keys (fun k -> WW k)
-      and rw_cache = Array.init num_keys (fun k -> RW k) in
-      let decode _stream p =
-        if p = lab_rt then RT
-        else if p = lab_so then SO
-        else if p = lab_chain then Rt_chain
-        else
-          let q = p - 4 in
-          let k = q lsr 2 in
-          match q land 3 with
-          | 0 -> wr_cache.(k)
-          | 1 -> ww_cache.(k)
-          | _ -> rw_cache.(k)
+      let caches =
+        [|
+          Array.init num_keys (fun k -> WR k);
+          Array.init num_keys (fun k -> WW k);
+          Array.init num_keys (fun k -> RW k);
+        |]
       in
+      let cached tag k = caches.(tag).(k) in
+      let decode _stream p = unpack_keyed cached p in
       let streams =
         Array.init (num_stripes + 2) (fun si ->
             if si = 0 then

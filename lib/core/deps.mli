@@ -35,6 +35,14 @@ type dep =
 val dep_name : dep -> string
 val pp_dep : Format.formatter -> dep -> unit
 
+val pack_dep : dep -> int
+(** The label as one int, for flat edge stores: [RT]/[SO]/[Rt_chain]
+    are 0/1/2, a keyed label is [4 + (key lsl 2) lor tag] with tag 0/1/2
+    for WR/WW/RW. *)
+
+val unpack_dep : int -> dep
+(** Inverse of {!pack_dep}. *)
+
 type rt_mode = No_rt | Rt_naive | Rt_sweep
 
 type t = {

@@ -6,26 +6,6 @@
    amount (the transaction's own op-list views plus amortized vector
    growth), independent of how many transactions came before. *)
 
-(* Int-packed dependency labels (same scheme as the Deps flat edge
-   stream): 0/1/2 are the keyless constants, a keyed label packs as
-   [4 + (key lsl 2) lor tag]. *)
-let pack_dep = function
-  | Deps.RT -> 0
-  | Deps.SO -> 1
-  | Deps.Rt_chain -> 2
-  | Deps.WR k -> 4 + ((k lsl 2) lor 0)
-  | Deps.WW k -> 4 + ((k lsl 2) lor 1)
-  | Deps.RW k -> 4 + ((k lsl 2) lor 2)
-
-let unpack_dep p =
-  if p = 0 then Deps.RT
-  else if p = 1 then Deps.SO
-  else if p = 2 then Deps.Rt_chain
-  else
-    let q = p - 4 in
-    let k = q lsr 2 in
-    match q land 3 with 0 -> Deps.WR k | 1 -> Deps.WW k | _ -> Deps.RW k
-
 (* Growable Pearce–Kelly graph with labelled edges.  Capacity doubles in
    place ({!Pearce_kelly.ensure}); a duplicate edge is accepted without
    touching the label or the count, and a rejected (cycle-closing) edge
@@ -68,14 +48,14 @@ module Grow = struct
     else
       match Pearce_kelly.add_edge t.pk u v with
       | Ok () ->
-          Flat_index.set t.labels (edge_key u v) (pack_dep lab);
+          Flat_index.set t.labels (edge_key u v) (Deps.pack_dep lab);
           t.edge_count <- t.edge_count + 1;
           Ok ()
       | Error path -> Error path
 
   let label t u v =
     let p = Flat_index.get t.labels (edge_key u v) in
-    if p >= 0 then unpack_dep p else Deps.Rt_chain
+    if p >= 0 then Deps.unpack_dep p else Deps.Rt_chain
 end
 
 (* Watermark GC policy.  [Gc_auto] compacts when the live-word estimate
@@ -939,28 +919,12 @@ let add_txn t (txn : Txn.t) =
    layer stores their rendered verdict instead, which is all a poisoned
    session can ever produce again. *)
 
-let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Checker.SSER
-  | 1 -> Checker.SER
-  | 2 -> Checker.SI
-  | b -> Binio_core.fail "unknown level byte %d" b
-
-let ts_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Ts.Ignore
-  | 1 -> Ts.Trust
-  | 2 -> Ts.Verify
-  | b -> Binio_core.fail "unknown ts mode byte %d" b
-
 let encode buf t =
   if t.poisoned <> None then
     invalid_arg "Online.encode: poisoned checkers are not snapshotted";
-  Buffer.add_char buf (Char.chr (level_byte t.level));
+  Buffer.add_char buf (Char.chr (Checker.level_to_byte t.level));
   Binio_core.add_varint buf t.skew;
-  Buffer.add_char buf (Char.chr (ts_byte t.ts_mode));
+  Buffer.add_char buf (Char.chr (Ts.mode_to_byte t.ts_mode));
   Binio_core.add_uvarint buf t.graph.Grow.capacity;
   Binio_core.add_uvarint buf t.graph.Grow.edge_count;
   Pearce_kelly.encode buf t.graph.Grow.pk;
@@ -1007,9 +971,9 @@ let encode buf t =
   Int_vec.encode buf t.sl_cts
 
 let decode r =
-  let level = level_of_byte (Binio_core.read_byte r) in
+  let level = Binio_core.read_enum "level" Checker.level_of_byte r in
   let skew = Binio_core.read_varint r in
-  let ts_mode = ts_of_byte (Binio_core.read_byte r) in
+  let ts_mode = Binio_core.read_enum "ts mode" Ts.mode_of_byte r in
   let capacity = Binio_core.read_uvarint r in
   let edge_count = Binio_core.read_uvarint r in
   let pk = Pearce_kelly.decode r in

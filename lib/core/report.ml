@@ -82,6 +82,15 @@ let render (h : History.t) level (v : Checker.violation) =
   | None -> ());
   Buffer.contents buf
 
+let render_parts level v =
+  let anomaly = Option.map Anomaly.name (classify v) in
+  let rendered =
+    Format.asprintf "%s violation%s: %a" (Checker.level_name level)
+      (match anomaly with Some a -> Printf.sprintf " [%s]" a | None -> "")
+      Checker.pp_violation v
+  in
+  (anomaly, rendered)
+
 let summary h outcomes =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (History.stats h);

@@ -14,5 +14,12 @@ val classify : Checker.violation -> Anomaly.kind option
     (two adjacent RWs over two distinct objects: WRITESKEW; exactly one
     RW: a causality-shaped anomaly; non-adjacent RWs: LONGFORK). *)
 
+val render_parts :
+  Checker.level -> Checker.violation -> string option * string
+(** The checking service's verdict for a violation found without the
+    history at hand: the anomaly name (if {!classify} finds one) and a
+    one-line rendering.  Live feeds and WAL replay both call it, which
+    is what keeps a counterexample byte-identical across a restart. *)
+
 val summary : History.t -> (Checker.level * Checker.outcome) list -> string
 (** One line per level, e.g. for CLI output. *)

@@ -21,6 +21,14 @@ let mode_of_string s =
 
 let all_modes = [ Ignore; Trust; Verify ]
 
+let mode_to_byte = function Ignore -> 0 | Trust -> 1 | Verify -> 2
+
+let mode_of_byte = function
+  | 0 -> Some Ignore
+  | 1 -> Some Trust
+  | 2 -> Some Verify
+  | _ -> None
+
 type diag = {
   d_key : Op.key;
   d_value : Op.value;

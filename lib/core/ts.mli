@@ -30,6 +30,13 @@ val mode_name : mode -> string
 val mode_of_string : string -> mode option
 val all_modes : mode list
 
+val mode_to_byte : mode -> int
+(** The mode's byte in every binary format (wire frames, WAL and
+    snapshot files, {!Online.encode}). *)
+
+val mode_of_byte : int -> mode option
+(** Inverse of {!mode_to_byte}; [None] for an unknown byte. *)
+
 (** One read whose timestamp prediction disagreed with the value it
     actually observed — evidence of a lying (or skewed) timestamp
     oracle.  [d_actual] is what value resolution concluded;

@@ -18,15 +18,6 @@
    every session ([sid mod nshards]) and rewrites the files to match —
    the WAL a shard appends to is always its own. *)
 
-type restored = {
-  r_sid : int;
-  r_meta : Snapshot_store.meta;
-  r_last_seq : int;
-  r_state : Snapshot_store.state;
-      (* [Live] states are never poisoned: replay renders a violation to
-         [Poisoned] the moment it happens *)
-}
-
 type replay_stats = {
   rs_frames : int;  (** WAL records replayed *)
   rs_ms : float;
@@ -44,12 +35,6 @@ type t = {
 
 let wal_name ~shard ~gen = Printf.sprintf "wal-%d-%d" shard gen
 let snap_name ~shard ~gen = Printf.sprintf "snap-%d-%d" shard gen
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -77,50 +62,30 @@ let scan dir =
 (* ------------------------------------------------------------------ *)
 (* Restore. *)
 
-type session = {
-  mutable meta : Snapshot_store.meta;
-  mutable last_seq : int;
-  mutable state : Snapshot_store.state;
-}
-
-let apply_record ~render sessions count = function
-  | Wal.R_open { sid; level; num_keys; skew; ts; gc } ->
-      if not (Hashtbl.mem sessions sid) then begin
-        let meta = { Snapshot_store.level; num_keys; skew; ts; gc } in
-        let online = Online.create ~skew ~ts ~gc ~level ~num_keys () in
-        Hashtbl.replace sessions sid
-          { meta; last_seq = 0; state = Snapshot_store.Live online }
-      end;
-      incr count
+(* Replay one record through the live server's own steps: an open
+   creates the session, a feed runs {!Session_state.feed} (duplicate
+   seqs dropped, as a durable server drops them), a close forgets it. *)
+let apply_record sessions count record =
+  incr count;
+  match record with
+  | Wal.R_open { sid; params } ->
+      if not (Hashtbl.mem sessions sid) then
+        Hashtbl.replace sessions sid (Session_state.create ~sid params)
   | Wal.R_feed { sid; seq; txn } -> (
-      incr count;
       match Hashtbl.find_opt sessions sid with
-      | None -> () (* session closed earlier in the log *)
-      | Some s ->
-          if seq > s.last_seq then begin
-            s.last_seq <- seq;
-            match s.state with
-            | Snapshot_store.Poisoned _ -> ()
-            | Snapshot_store.Live online -> (
-                match Online.add_txn online txn with
-                | Online.Ok_so_far -> ()
-                | Online.Violation v ->
-                    let anomaly, rendered =
-                      render ~level:s.meta.Snapshot_store.level v
-                    in
-                    s.state <- Snapshot_store.Poisoned { anomaly; rendered }
-                | exception Invalid_argument _ ->
-                    (* the live server answered this with a protocol
-                       close; the R_close record follows in the log *)
-                    Hashtbl.remove sessions sid)
-          end)
-  | Wal.R_close { sid } ->
-      incr count;
-      Hashtbl.remove sessions sid
+      | Some (s : Session_state.t) when seq > s.last_seq -> (
+          s.last_seq <- seq;
+          try ignore (Session_state.feed s txn)
+          with Invalid_argument _ ->
+            (* session-fatal misuse: the live server closed the session
+               here, whether or not its R_close reached the log *)
+            Hashtbl.remove sessions sid)
+      | _ -> () (* closed earlier in the log, or a replayed duplicate *))
+  | Wal.R_close { sid } -> Hashtbl.remove sessions sid
 
 (* Load one legacy shard's sessions into [sessions]: newest valid
    snapshot generation, then that generation's WAL tail. *)
-let restore_shard ~render dir shard gens_of_shard sessions count next_sid =
+let restore_shard dir shard gens_of_shard sessions count next_sid =
   let gens = List.sort_uniq (fun a b -> compare b a) gens_of_shard in
   let snap_base =
     List.find_map
@@ -145,13 +110,7 @@ let restore_shard ~render dir shard gens_of_shard sessions count next_sid =
           if info.Snapshot_store.i_next_sid > !next_sid then
             next_sid := info.Snapshot_store.i_next_sid;
           List.iter
-            (fun (e : Snapshot_store.entry) ->
-              Hashtbl.replace sessions e.sid
-                {
-                  meta = e.meta;
-                  last_seq = e.last_seq;
-                  state = e.state;
-                })
+            (fun (e : Session_state.t) -> Hashtbl.replace sessions e.sid e)
             info.Snapshot_store.i_entries);
       let wal_path = Filename.concat dir (wal_name ~shard ~gen) in
       if Sys.file_exists wal_path then begin
@@ -161,7 +120,7 @@ let restore_shard ~render dir shard gens_of_shard sessions count next_sid =
             (* A torn or corrupt tail ends the replay at the last intact
                record — exactly the state the server had durably
                accepted. *)
-            List.iter (apply_record ~render sessions count) records
+            List.iter (apply_record sessions count) records
       end
 
 let checkpoint_files ~dir ~nshards ~sync ~on_fsync ~gen ~next_sid entries_of =
@@ -174,16 +133,16 @@ let checkpoint_files ~dir ~nshards ~sync ~on_fsync ~gen ~next_sid entries_of =
           ~path:(Filename.concat dir (wal_name ~shard ~gen))
           ~shard ~nshards ~gen ~sync ())
   in
-  fsync_dir dir;
+  Binio.fsync_dir dir;
   wals
 
-let open_dir ?(on_fsync = fun _ -> ()) ~dir ~nshards ~sync ~render () =
+let open_dir ?(on_fsync = fun _ -> ()) ~dir ~nshards ~sync () =
   if nshards <= 0 then invalid_arg "Persist.open_dir: nshards must be > 0";
   match
     mkdir_p dir;
     let t0 = Unix.gettimeofday () in
     let files = scan dir in
-    let sessions : (int, session) Hashtbl.t = Hashtbl.create 64 in
+    let sessions : (int, Session_state.t) Hashtbl.t = Hashtbl.create 64 in
     let count = ref 0 and next_sid = ref 1 in
     let shards =
       List.sort_uniq compare (List.map (fun (_, s, _) -> s) files)
@@ -195,39 +154,21 @@ let open_dir ?(on_fsync = fun _ -> ()) ~dir ~nshards ~sync ~render () =
             (fun (_, s, g) -> if s = shard then Some g else None)
             files
         in
-        restore_shard ~render dir shard gens sessions count next_sid)
+        restore_shard dir shard gens sessions count next_sid)
       shards;
     Hashtbl.iter
       (fun sid _ -> if sid >= !next_sid then next_sid := sid + 1)
       sessions;
     let restored =
-      Hashtbl.fold
-        (fun sid s acc ->
-          {
-            r_sid = sid;
-            r_meta = s.meta;
-            r_last_seq = s.last_seq;
-            r_state = s.state;
-          }
-          :: acc)
-        sessions []
-      |> List.sort (fun a b -> compare a.r_sid b.r_sid)
+      Hashtbl.fold (fun _ s acc -> s :: acc) sessions []
+      |> List.sort (fun (a : Session_state.t) b -> compare a.sid b.sid)
     in
     (* Start a fresh generation under the current shard count; every
        session re-homes to [sid mod nshards]. *)
     let gen = 1 + List.fold_left (fun m (_, _, g) -> Stdlib.max m g) 0 files in
     let entries_of shard =
-      List.filter_map
-        (fun r ->
-          if r.r_sid mod nshards = shard then
-            Some
-              {
-                Snapshot_store.sid = r.r_sid;
-                meta = r.r_meta;
-                last_seq = r.r_last_seq;
-                state = r.r_state;
-              }
-          else None)
+      List.filter
+        (fun (s : Session_state.t) -> s.sid mod nshards = shard)
         restored
     in
     let wals =
@@ -245,7 +186,7 @@ let open_dir ?(on_fsync = fun _ -> ()) ~dir ~nshards ~sync ~render () =
         try Unix.unlink (Filename.concat dir name)
         with Unix.Unix_error _ -> ())
       files;
-    fsync_dir dir;
+    Binio.fsync_dir dir;
     let t =
       { dir; nshards; sync; on_fsync; gens = Array.make nshards gen; wals }
     in
@@ -282,7 +223,7 @@ let checkpoint t ~shard ~next_sid entries =
     Wal.create ~on_fsync:t.on_fsync
       ~path:(Filename.concat t.dir (wal_name ~shard ~gen))
       ~shard ~nshards:t.nshards ~gen ~sync:t.sync ();
-  fsync_dir t.dir;
+  Binio.fsync_dir t.dir;
   List.iter
     (fun name ->
       try Unix.unlink (Filename.concat t.dir name)

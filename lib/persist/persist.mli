@@ -15,15 +15,6 @@
     (the same discipline as the checking itself) — different shards
     never contend. *)
 
-type restored = {
-  r_sid : int;
-  r_meta : Snapshot_store.meta;
-  r_last_seq : int;  (** highest applied feed sequence number *)
-  r_state : Snapshot_store.state;
-      (** [Live] states are never poisoned — a violation hit during
-          replay is rendered to [Poisoned] on the spot *)
-}
-
 type replay_stats = {
   rs_frames : int;  (** WAL records replayed *)
   rs_ms : float;  (** wall-clock restore time *)
@@ -37,16 +28,16 @@ val open_dir :
   dir:string ->
   nshards:int ->
   sync:Wal.sync ->
-  render:(level:Checker.level -> Checker.violation -> string option * string) ->
   unit ->
-  (t * restored list * int * replay_stats, string) result
+  (t * Session_state.t list * int * replay_stats, string) result
 (** Open (creating if needed) a persistence directory, restore whatever
-    it holds, start a fresh generation.  The [int] is the sid allocator
-    floor (strictly above every restored sid).  [render] turns a
-    violation found during replay into its [(anomaly, rendered)] pair —
-    pass the exact renderer the live server uses, byte-identity of
-    counterexamples depends on it.  [on_fsync] is the metrics hook,
-    called with each fsync's duration in ns. *)
+    it holds, start a fresh generation.  The sessions come back sorted
+    by sid; the WAL tail is replayed through {!Session_state.feed}, the
+    live server's own feed step, so a violation hit during replay is
+    poisoned with the same rendering and a session-fatal feed drops the
+    session as the live server closed it.  The [int] is the sid
+    allocator floor (strictly above every restored sid).  [on_fsync] is
+    the metrics hook, called with each fsync's duration in ns. *)
 
 val dir : t -> string
 
@@ -63,7 +54,7 @@ val barrier : t -> shard:int -> unit
     verdict in [Batch] mode. *)
 
 val checkpoint :
-  t -> shard:int -> next_sid:int -> Snapshot_store.entry list -> unit
+  t -> shard:int -> next_sid:int -> Session_state.t list -> unit
 (** Snapshot this shard's sessions and rotate its WAL to a fresh
     generation; the old generation's files are unlinked once the new
     ones are durable. *)

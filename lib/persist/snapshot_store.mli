@@ -8,26 +8,12 @@
     again, and storing it verbatim is what makes post-restore renderings
     byte-identical by construction. *)
 
-type meta = {
-  level : Checker.level;
-  num_keys : int;
-  skew : int;
-  ts : Ts.mode;
-  gc : Online.gc;  (** watermark-GC policy the session was opened with *)
-}
-
-type state =
-  | Live of Online.t
-  | Poisoned of { anomaly : string option; rendered : string }
-
-type entry = { sid : int; meta : meta; last_seq : int; state : state }
-
 type info = {
   i_shard : int;
   i_nshards : int;
   i_gen : int;
   i_next_sid : int;  (** server sid allocator floor at checkpoint time *)
-  i_entries : entry list;
+  i_entries : Session_state.t list;
 }
 
 val write :
@@ -36,7 +22,7 @@ val write :
   nshards:int ->
   gen:int ->
   next_sid:int ->
-  entry list ->
+  Session_state.t list ->
   unit
 (** Atomic snapshot write; after return the file is durable (or the old
     file is intact).

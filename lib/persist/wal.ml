@@ -58,67 +58,17 @@ let sync_name = function Always -> "always" | Batch -> "batch" | Off -> "off"
 let batch_every = 2048
 
 type record =
-  | R_open of {
-      sid : int;
-      level : Checker.level;
-      num_keys : int;
-      skew : int;
-      ts : Ts.mode;
-      gc : Online.gc;
-    }
+  | R_open of { sid : int; params : Session_state.params }
   | R_feed of { sid : int; seq : int; txn : Txn.t }
   | R_close of { sid : int }
 
 type header = { h_version : int; h_shard : int; h_nshards : int; h_gen : int }
 
-let add_u32le buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
-let level_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Checker.SSER
-  | 1 -> Checker.SER
-  | 2 -> Checker.SI
-  | b -> Binio.fail "unknown level byte %d" b
-
-let ts_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Ts.Ignore
-  | 1 -> Ts.Trust
-  | 2 -> Ts.Verify
-  | b -> Binio.fail "unknown ts mode byte %d" b
-
-let add_gc buf = function
-  | Online.Gc_off -> Buffer.add_char buf '\000'
-  | Online.Gc_auto -> Buffer.add_char buf '\001'
-  | Online.Gc_words n ->
-      Buffer.add_char buf '\002';
-      Binio.add_uvarint buf n
-
-let read_gc r =
-  match Binio.read_byte r with
-  | 0 -> Online.Gc_off
-  | 1 -> Online.Gc_auto
-  | 2 ->
-      let n = Binio.read_uvarint r in
-      if n <= 0 then Binio.fail "gc word ceiling %d must be positive" n
-      else Online.Gc_words n
-  | b -> Binio.fail "unknown gc policy byte %d" b
-
 let add_record buf = function
-  | R_open { sid; level; num_keys; skew; ts; gc } ->
+  | R_open { sid; params } ->
       Buffer.add_char buf '\001';
       Binio.add_uvarint buf sid;
-      Buffer.add_char buf (Char.chr (level_byte level));
-      Binio.add_uvarint buf num_keys;
-      Binio.add_varint buf skew;
-      Buffer.add_char buf (Char.chr (ts_byte ts));
-      add_gc buf gc
+      Session_state.add_params buf params
   | R_feed { sid; seq; txn } ->
       Buffer.add_char buf '\002';
       Binio.add_uvarint buf sid;
@@ -132,12 +82,7 @@ let read_record r =
   match Binio.read_byte r with
   | 1 ->
       let sid = Binio.read_uvarint r in
-      let level = level_of_byte (Binio.read_byte r) in
-      let num_keys = Binio.read_uvarint r in
-      let skew = Binio.read_varint r in
-      let ts = ts_of_byte (Binio.read_byte r) in
-      let gc = read_gc r in
-      R_open { sid; level; num_keys; skew; ts; gc }
+      R_open { sid; params = Session_state.read_params r }
   | 2 ->
       let sid = Binio.read_uvarint r in
       let seq = Binio.read_uvarint r in
@@ -166,17 +111,9 @@ type writer = {
   mutable closed : bool;
 }
 
-let rec really_write fd b off len =
-  if len > 0 then
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    really_write fd b (off + n) (len - n)
-
 let write_buffer w buf =
   let b = Buffer.to_bytes buf in
-  really_write w.fd b 0 (Bytes.length b);
+  Binio.really_write w.fd b 0 (Bytes.length b);
   w.bytes <- w.bytes + Bytes.length b
 
 (* One write(2) for everything queued since the last flush. *)
@@ -216,9 +153,9 @@ let create ?(on_fsync = fun _ -> ()) ~path ~shard ~nshards ~gen ~sync () =
   Binio.add_uvarint w.scratch gen;
   let payload = Buffer.contents w.scratch in
   Buffer.add_string w.pending magic;
-  add_u32le w.pending (String.length payload);
+  Binio.add_u32le w.pending (String.length payload);
   Buffer.add_string w.pending payload;
-  add_u32le w.pending (Crc32.string payload);
+  Binio.add_u32le w.pending (Crc32.string payload);
   (* the header always lands immediately: a WAL file without one is
      unreadable, not merely short *)
   flush w;
@@ -231,9 +168,9 @@ let append w record =
   add_record w.scratch record;
   let payload = Buffer.contents w.scratch in
   let before = Buffer.length w.pending in
-  add_u32le w.pending (String.length payload);
+  Binio.add_u32le w.pending (String.length payload);
   Buffer.add_string w.pending payload;
-  add_u32le w.pending (Crc32.string payload);
+  Binio.add_u32le w.pending (Crc32.string payload);
   let added = Buffer.length w.pending - before in
   (match w.sync with
   | Always -> fsync w
@@ -268,24 +205,18 @@ type tail =
   | Truncated of int  (** torn tail starting at this byte offset *)
   | Corrupt of { offset : int; reason : string }
 
-let read_u32le src pos =
-  Char.code (Binio.Source.get src pos)
-  lor (Char.code (Binio.Source.get src (pos + 1)) lsl 8)
-  lor (Char.code (Binio.Source.get src (pos + 2)) lsl 16)
-  lor (Char.code (Binio.Source.get src (pos + 3)) lsl 24)
-
 (* Parse one length+payload+crc block at [pos].  [`Short] = torn tail. *)
 let read_block src pos =
   let total = Binio.Source.length src in
   if total - pos < 4 then `Short
   else
-    let len = read_u32le src pos in
+    let len = Binio.Source.get_u32le src pos in
     if len <= 0 || len > max_record then
       `Bad (Printf.sprintf "block length %d out of range" len)
     else if total - pos < 4 + len + 4 then `Short
     else
       let payload = Binio.Source.sub_string src (pos + 4) len in
-      let crc = read_u32le src (pos + 4 + len) in
+      let crc = Binio.Source.get_u32le src (pos + 4 + len) in
       if Crc32.string payload <> crc then `Bad "CRC mismatch"
       else `Block (payload, pos + 4 + len + 4)
 

@@ -25,14 +25,8 @@ val sync_of_string : string -> sync option
 val sync_name : sync -> string
 
 type record =
-  | R_open of {
-      sid : int;
-      level : Checker.level;
-      num_keys : int;
-      skew : int;
-      ts : Ts.mode;
-      gc : Online.gc;  (** watermark-GC policy, re-applied on replay *)
-    }
+  | R_open of { sid : int; params : Session_state.params }
+      (** the GC policy in [params] is re-applied on replay *)
   | R_feed of { sid : int; seq : int; txn : Txn.t }
   | R_close of { sid : int }
 

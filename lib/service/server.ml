@@ -141,15 +141,10 @@ type item =
   | I_resume  (** send [Session_resumed] after a re-attach *)
   | I_close of Wire.close_reason
 
-type checker_state =
-  | S_live of Online.t
-  | S_poisoned of { anomaly : string option; rendered : string }
-
 type session = {
-  sid : int;
-  meta : Snapshot_store.meta;
-  mutable checker : checker_state;  (** owning shard only *)
-  mutable last_seq : int;  (** highest WAL-logged feed seq; shard only *)
+  st : Session_state.t;
+      (** the durable part (sid, parameters, highest WAL-logged feed
+          seq, checker); mutated by the owning shard only *)
   mutable ep : conn option;
       (** attachment; [None] while restored-but-unresumed or after the
           connection died.  Guarded by [smu]. *)
@@ -314,19 +309,6 @@ let now () = Unix.gettimeofday ()
 
 let sp_server_feed = Obs.Trace.intern "server/feed"
 
-(* The one renderer: live verdicts, snapshot poisoning and WAL-replay
-   poisoning all go through it — byte-identity of counterexamples across
-   restarts depends on that. *)
-let render_parts level v =
-  let anomaly = Option.map Anomaly.name (Report.classify v) in
-  let rendered =
-    Format.asprintf "%s violation%s: %a"
-      (Checker.level_name level)
-      (match anomaly with Some a -> Printf.sprintf " [%s]" a | None -> "")
-      Checker.pp_violation v
-  in
-  (anomaly, rendered)
-
 let low_water capacity = Stdlib.max 1 (capacity / 4)
 
 (* Close reasons as journal payload words (mirrors the wire bytes). *)
@@ -362,7 +344,7 @@ let wal_append t s record =
             prerr_endline
               "mtc-serve: WAL append failed; continuing without durability")
 
-let wal_close_record t s = wal_append t s (Wal.R_close { sid = s.sid })
+let wal_close_record t s = wal_append t s (Wal.R_close { sid = s.st.sid })
 
 (* Live-words accounting: each session tracks its last-sampled
    {!Online.live_words} and the delta flows into one process-wide
@@ -398,15 +380,15 @@ let finish t s =
   s.reader_paused <- false;
   Mutex.unlock s.smu;
   Mutex.lock t.rmu;
-  Hashtbl.remove t.registry s.sid;
-  Hashtbl.remove t.detached s.sid;
+  Hashtbl.remove t.registry s.st.sid;
+  Hashtbl.remove t.detached s.st.sid;
   Mutex.unlock t.rmu;
   match ep with
   | None -> ()
   | Some conn ->
       Mutex.lock conn.cmu;
-      Hashtbl.remove conn.sessions s.sid;
-      Hashtbl.replace conn.closed_sids s.sid ();
+      Hashtbl.remove conn.sessions s.st.sid;
+      Hashtbl.replace conn.closed_sids s.st.sid ();
       let empty = Hashtbl.length conn.sessions = 0 in
       Mutex.unlock conn.cmu;
       if was_paused then post t (A_unpause (conn, s));
@@ -450,18 +432,20 @@ let process_session t s =
       let send_ep frame =
         match ep with Some c -> send t c frame | None -> ()
       in
+      let send_verdict seq verdict =
+        send_ep (Wire.Verdict { sid = s.st.sid; seq; verdict })
+      in
       if resume then begin
-        Obs.Journal.emit Obs.Journal.Throttle_off ~a:s.sid ~b:0 ~c:0;
-        send_ep (Wire.Resume { sid = s.sid })
+        Obs.Journal.emit Obs.Journal.Throttle_off ~a:s.st.sid ~b:0 ~c:0;
+        send_ep (Wire.Resume { sid = s.st.sid })
       end;
       (if unpause then
          match ep with Some c -> post t (A_unpause (c, s)) | None -> ());
       if t.config.drain_delay > 0.0 then Unix.sleepf t.config.drain_delay;
       match item with
       | I_open ->
-          let { Snapshot_store.level; num_keys; skew; ts; gc } = s.meta in
           wal_append t s
-            (Wal.R_open { sid = s.sid; level; num_keys; skew; ts; gc });
+            (Wal.R_open { sid = s.st.sid; params = s.st.params });
           (* the ack below hands the client a resumable sid: put the
              open record in the kernel before saying so, or a server
              kill mid-burst (no drain barrier yet) would forget the
@@ -469,25 +453,26 @@ let process_session t s =
           (match t.persist with
           | Some p -> Persist.flush p ~shard:s.shard_ix
           | None -> ());
-          (match s.checker with
-          | S_live online -> refresh_live t s online
-          | S_poisoned _ -> ());
-          send_ep (Wire.Session_opened { sid = s.sid });
+          (match s.st.state with
+          | Live online -> refresh_live t s online
+          | Poisoned _ -> ());
+          send_ep (Wire.Session_opened { sid = s.st.sid });
           loop ()
       | I_resume ->
-          Obs.Journal.emit Obs.Journal.Session_resume ~a:s.sid ~b:s.last_seq
-            ~c:0;
+          Obs.Journal.emit Obs.Journal.Session_resume ~a:s.st.sid
+            ~b:s.st.last_seq ~c:0;
           send_ep
-            (Wire.Session_resumed { sid = s.sid; last_seq = s.last_seq });
+            (Wire.Session_resumed
+               { sid = s.st.sid; last_seq = s.st.last_seq });
           loop ()
       | I_feed (seq, txn) ->
           (* With durability on, a feed at-or-below the logged high water
              is a replay duplicate (client resuming): drop it instead of
              tripping the checker's id-reuse defence. *)
-          if t.persist <> None && seq <= s.last_seq then loop ()
+          if t.persist <> None && seq <= s.st.last_seq then loop ()
           else begin
-            wal_append t s (Wal.R_feed { sid = s.sid; seq; txn });
-            if seq > s.last_seq then s.last_seq <- seq;
+            wal_append t s (Wal.R_feed { sid = s.st.sid; seq; txn });
+            if seq > s.st.last_seq then s.st.last_seq <- seq;
             s.feeds <- s.feeds + 1;
             let sh = s.shard in
             sh.feeds_since_snap <- sh.feeds_since_snap + 1;
@@ -501,18 +486,12 @@ let process_session t s =
                sh.snap_req <- true;
                Mutex.unlock sh.shmu
              end);
-            match s.checker with
-            | S_poisoned { anomaly; rendered } ->
+            match s.st.state with
+            | Poisoned { anomaly; rendered } ->
                 (* poisoned: same counterexample, forever *)
-                send_ep
-                  (Wire.Verdict
-                     {
-                       sid = s.sid;
-                       seq;
-                       verdict = Wire.V_violation { anomaly; rendered };
-                     });
+                send_verdict seq (Wire.V_violation { anomaly; rendered });
                 loop ()
-            | S_live online -> (
+            | Live online -> (
                 let w0 = Gc.minor_words () in
                 let g0 = Online.gc_runs online in
                 let r0 = Online.gc_reclaimed_words online in
@@ -524,41 +503,31 @@ let process_session t s =
                     let pause = Online.gc_last_ns online in
                     let reclaimed = Online.gc_reclaimed_words online - r0 in
                     Metrics.gc_run m ~ns:pause ~reclaimed;
-                    Obs.Journal.emit Obs.Journal.Gc_compact ~a:s.sid ~b:pause
-                      ~c:reclaimed;
+                    Obs.Journal.emit Obs.Journal.Gc_compact ~a:s.st.sid
+                      ~b:pause ~c:reclaimed;
                     refresh_live t s online
                   end
                 in
                 let sp0 = Obs.Trace.enter () in
                 let t0 = now () in
-                match Online.add_txn online txn with
-                | Online.Ok_so_far ->
+                match Session_state.feed s.st txn with
+                | Session_state.Ok_so_far ->
                     Obs.Trace.exit sp_server_feed sp0;
                     note_gc ();
                     Metrics.feed m
                       ~ns:(int_of_float ((now () -. t0) *. 1e9))
                       ~words:(int_of_float (Gc.minor_words () -. w0));
                     loop ()
-                | Online.Violation v ->
+                | Session_state.Violation { anomaly; rendered } ->
                     Obs.Trace.exit sp_server_feed sp0;
                     note_gc ();
-                    let anomaly, rendered =
-                      render_parts s.meta.Snapshot_store.level v
-                    in
-                    s.checker <- S_poisoned { anomaly; rendered };
-                    Obs.Journal.emit Obs.Journal.Poison ~a:s.sid ~b:0 ~c:0;
+                    Obs.Journal.emit Obs.Journal.Poison ~a:s.st.sid ~b:0 ~c:0;
                     drop_live t s;
                     Metrics.feed m
                       ~ns:(int_of_float ((now () -. t0) *. 1e9))
                       ~words:(int_of_float (Gc.minor_words () -. w0));
                     Obs.Counter.incr m.violations;
-                    send_ep
-                      (Wire.Verdict
-                         {
-                           sid = s.sid;
-                           seq;
-                           verdict = Wire.V_violation { anomaly; rendered };
-                         });
+                    send_verdict seq (Wire.V_violation { anomaly; rendered });
                     loop ()
                 | exception Invalid_argument msg ->
                     (* id reuse / SSER order: session-fatal misuse *)
@@ -567,12 +536,12 @@ let process_session t s =
                     Mutex.unlock s.smu;
                     wal_close_record t s;
                     Obs.Counter.incr m.protocol_errors;
-                    Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
+                    Obs.Journal.emit Obs.Journal.Session_close ~a:s.st.sid
                       ~b:(reason_code (Wire.R_protocol msg))
                       ~c:0;
                     send_ep
                       (Wire.Session_closed
-                         { sid = s.sid; reason = Wire.R_protocol msg });
+                         { sid = s.st.sid; reason = Wire.R_protocol msg });
                     Obs.Counter.incr m.sessions_closed;
                     finish t s)
           end
@@ -585,20 +554,20 @@ let process_session t s =
           | Some p -> Persist.barrier p ~shard:s.shard_ix
           | None -> ());
           let verdict =
-            match s.checker with
-            | S_poisoned { anomaly; rendered } ->
+            match s.st.state with
+            | Poisoned { anomaly; rendered } ->
                 Wire.V_violation { anomaly; rendered }
-            | S_live online ->
+            | Live online ->
                 refresh_live t s online;
                 Wire.V_ok (Online.txns_seen online)
           in
-          send_ep (Wire.Verdict { sid = s.sid; seq; verdict });
+          send_verdict seq verdict;
           loop ()
       | I_close reason ->
           wal_close_record t s;
-          Obs.Journal.emit Obs.Journal.Session_close ~a:s.sid
+          Obs.Journal.emit Obs.Journal.Session_close ~a:s.st.sid
             ~b:(reason_code reason) ~c:0;
-          send_ep (Wire.Session_closed { sid = s.sid; reason });
+          send_ep (Wire.Session_closed { sid = s.st.sid; reason });
           Obs.Counter.incr m.sessions_closed;
           finish t s
     end
@@ -618,18 +587,7 @@ let do_checkpoint t sh =
       let entries =
         Hashtbl.fold
           (fun sid s acc ->
-            if sid mod t.nshards = sh.ix && not s.finished then
-              {
-                Snapshot_store.sid;
-                meta = s.meta;
-                last_seq = s.last_seq;
-                state =
-                  (match s.checker with
-                  | S_live online -> Snapshot_store.Live online
-                  | S_poisoned { anomaly; rendered } ->
-                      Snapshot_store.Poisoned { anomaly; rendered });
-              }
-              :: acc
+            if sid mod t.nshards = sh.ix && not s.finished then s.st :: acc
             else acc)
           t.registry []
       in
@@ -840,6 +798,33 @@ let on_eof t conn =
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch. *)
 
+(* The one session constructor, for opened and restored sessions alike:
+   durable state [st], homed on shard [sid mod shards] for life. *)
+let make_session shards ~ep (st : Session_state.t) =
+  let ix = st.sid mod Array.length shards and nowf = now () in
+  {
+    st;
+    ep;
+    shard_ix = ix;
+    shard = shards.(ix);
+    queue = Queue.create ();
+    queued = 0;
+    throttled = false;
+    reader_paused = false;
+    closing = false;
+    abandoned = false;
+    on_runq = false;
+    finished = false;
+    smu = Mutex.create ();
+    last_activity = nowf;
+    lw_seen = 0;
+    opened_at = nowf;
+    feeds = 0;
+    pin_frontier = 0;
+    pin_since = nowf;
+    pinned = false;
+  }
+
 let open_session t conn ~level ~num_keys ~skew ~ts ~gc =
   Mutex.lock t.rmu;
   let sid = t.next_sid in
@@ -847,31 +832,8 @@ let open_session t conn ~level ~num_keys ~skew ~ts ~gc =
   Mutex.unlock t.rmu;
   let gc = match gc with Some g -> g | None -> t.config.gc in
   let s =
-    {
-      sid;
-      meta = { Snapshot_store.level; num_keys; skew; ts; gc };
-      checker = S_live (Online.create ~skew ~ts ~gc ~level ~num_keys ());
-      last_seq = 0;
-      ep = Some conn;
-      shard_ix = sid mod t.nshards;
-      shard = t.shards.(sid mod t.nshards);
-      queue = Queue.create ();
-      queued = 0;
-      throttled = false;
-      reader_paused = false;
-      closing = false;
-      abandoned = false;
-      on_runq = false;
-      finished = false;
-      smu = Mutex.create ();
-      last_activity = now ();
-      lw_seen = 0;
-      opened_at = now ();
-      feeds = 0;
-      pin_frontier = 0;
-      pin_since = now ();
-      pinned = false;
-    }
+    make_session t.shards ~ep:(Some conn)
+      (Session_state.create ~sid { level; num_keys; skew; ts; gc })
   in
   Mutex.lock t.rmu;
   Hashtbl.replace t.registry sid s;
@@ -907,8 +869,8 @@ let enqueue_bounded t conn s item =
     (match announce with
     | Some queued ->
         Obs.Counter.incr t.config.metrics.throttles;
-        Obs.Journal.emit Obs.Journal.Throttle_on ~a:s.sid ~b:queued ~c:0;
-        send t conn (Wire.Throttle { sid = s.sid; queued })
+        Obs.Journal.emit Obs.Journal.Throttle_on ~a:s.st.sid ~b:queued ~c:0;
+        send t conn (Wire.Throttle { sid = s.st.sid; queued })
     | None -> ());
     `Full
   end
@@ -959,14 +921,15 @@ let session_stat s =
   and pinned = s.pinned in
   Mutex.unlock s.smu;
   let poisoned, frontier, watermark =
-    match s.checker with
-    | S_poisoned _ -> (true, 0, -1)
-    | S_live online -> (false, Online.txns_seen online, Online.watermark_pos online)
+    match s.st.state with
+    | Poisoned _ -> (true, 0, -1)
+    | Live online ->
+        (false, Online.txns_seen online, Online.watermark_pos online)
   in
   {
-    Wire.ss_sid = s.sid;
+    Wire.ss_sid = s.st.sid;
     ss_shard = s.shard_ix;
-    ss_level = s.meta.Snapshot_store.level;
+    ss_level = s.st.params.level;
     ss_poisoned = poisoned;
     ss_pinned = pinned;
     ss_frontier = frontier;
@@ -974,7 +937,7 @@ let session_stat s =
     ss_lag = (if watermark < 0 then 0 else frontier - watermark);
     ss_live_words = Stdlib.max 0 s.lw_seen;
     ss_queued = queued;
-    ss_last_seq = s.last_seq;
+    ss_last_seq = s.st.last_seq;
     ss_feeds = s.feeds;
     ss_age_ms = int_of_float ((nowf -. s.opened_at) *. 1e3);
     ss_idle_ms = Stdlib.max 0 (int_of_float ((nowf -. last_activity) *. 1e3));
@@ -1537,10 +1500,10 @@ let pin_sweep t nowf =
                 let stalled_ns =
                   int_of_float ((nowf -. s.pin_since) *. 1e9)
                 in
-                Obs.Journal.emit Obs.Journal.Pin_warn ~a:s.sid ~b:stalled_ns
+                Obs.Journal.emit Obs.Journal.Pin_warn ~a:s.st.sid ~b:stalled_ns
                   ~c:s.lw_seen;
                 if t.config.pin_fence = Fence_close then begin
-                  Obs.Journal.emit Obs.Journal.Pin_fence ~a:s.sid
+                  Obs.Journal.emit Obs.Journal.Pin_fence ~a:s.st.sid
                     ~b:stalled_ns ~c:0;
                   Obs.Counter.incr t.config.metrics.pin_fences
                 end
@@ -1628,9 +1591,7 @@ let start config =
               Obs.Counter.incr config.metrics.wal_fsyncs;
               if ns > wal_stall_ns then
                 Obs.Journal.emit Obs.Journal.Wal_fsync_stall ~a:0 ~b:ns ~c:0)
-            ~dir ~nshards ~sync:config.wal_sync
-            ~render:(fun ~level v -> render_parts level v)
-            ()
+            ~dir ~nshards ~sync:config.wal_sync ()
         with
         | Ok (p, restored, next_sid, stats) ->
             Metrics.replay config.metrics ~frames:stats.Persist.rs_frames
@@ -1688,40 +1649,10 @@ let start config =
   (* Restored sessions wait detached until a [Resume_session] claims
      them (or the final checkpoint carries them forward). *)
   List.iter
-    (fun (r : Persist.restored) ->
-      let s =
-        {
-          sid = r.Persist.r_sid;
-          meta = r.Persist.r_meta;
-          checker =
-            (match r.Persist.r_state with
-            | Snapshot_store.Live online -> S_live online
-            | Snapshot_store.Poisoned { anomaly; rendered } ->
-                S_poisoned { anomaly; rendered });
-          last_seq = r.Persist.r_last_seq;
-          ep = None;
-          shard_ix = r.Persist.r_sid mod nshards;
-          shard = shards.(r.Persist.r_sid mod nshards);
-          queue = Queue.create ();
-          queued = 0;
-          throttled = false;
-          reader_paused = false;
-          closing = false;
-          abandoned = false;
-          on_runq = false;
-          finished = false;
-          smu = Mutex.create ();
-          last_activity = now ();
-          lw_seen = 0;
-          opened_at = now ();
-          feeds = 0;
-          pin_frontier = 0;
-          pin_since = now ();
-          pinned = false;
-        }
-      in
-      Hashtbl.replace t.registry s.sid s;
-      Hashtbl.replace t.detached s.sid s)
+    (fun (st : Session_state.t) ->
+      let s = make_session shards ~ep:None st in
+      Hashtbl.replace t.registry st.sid s;
+      Hashtbl.replace t.detached st.sid s)
     restored;
   (match config.metrics_port with
   | None -> ()

@@ -109,22 +109,6 @@ let err_version = 2
 let err_bad_frame = 3
 let err_unknown_session = 4
 
-let level_to_byte = function Checker.SSER -> 0 | Checker.SER -> 1 | Checker.SI -> 2
-
-let level_of_byte = function
-  | 0 -> Some Checker.SSER
-  | 1 -> Some Checker.SER
-  | 2 -> Some Checker.SI
-  | _ -> None
-
-let ts_to_byte = function Ts.Ignore -> 0 | Ts.Trust -> 1 | Ts.Verify -> 2
-
-let ts_of_byte = function
-  | 0 -> Some Ts.Ignore
-  | 1 -> Some Ts.Trust
-  | 2 -> Some Ts.Verify
-  | _ -> None
-
 let frame_name = function
   | Hello _ -> "hello"
   | Welcome _ -> "welcome"
@@ -174,7 +158,7 @@ let add_reason buf = function
 let add_session_stat buf s =
   Binio.add_uvarint buf s.ss_sid;
   Binio.add_uvarint buf s.ss_shard;
-  Buffer.add_char buf (Char.chr (level_to_byte s.ss_level));
+  Buffer.add_char buf (Char.chr (Checker.level_to_byte s.ss_level));
   Buffer.add_char buf (if s.ss_poisoned then '\001' else '\000');
   Buffer.add_char buf (if s.ss_pinned then '\001' else '\000');
   Binio.add_uvarint buf s.ss_frontier;
@@ -206,10 +190,10 @@ let add_payload buf = function
       Binio.add_string buf server
   | Open_session { level; num_keys; skew; ts; gc } ->
       Buffer.add_char buf '\003';
-      Buffer.add_char buf (Char.chr (level_to_byte level));
+      Buffer.add_char buf (Char.chr (Checker.level_to_byte level));
       Binio.add_uvarint buf num_keys;
       Binio.add_varint buf skew;
-      Buffer.add_char buf (Char.chr (ts_to_byte ts));
+      Buffer.add_char buf (Char.chr (Ts.mode_to_byte ts));
       (match gc with
       | None -> Buffer.add_char buf '\000'
       | Some Online.Gc_off -> Buffer.add_char buf '\001'
@@ -318,6 +302,11 @@ let read_reason r =
   | 4 -> R_pinned
   | b -> Binio.fail "bad close reason %d" b
 
+let read_level r =
+  match Checker.level_of_byte (Binio.read_byte r) with
+  | Some l -> l
+  | None -> Binio.fail "unknown isolation level byte"
+
 let read_bool r =
   match Binio.read_byte r with
   | 0 -> false
@@ -327,11 +316,7 @@ let read_bool r =
 let read_session_stat r =
   let ss_sid = Binio.read_uvarint r in
   let ss_shard = Binio.read_uvarint r in
-  let ss_level =
-    match level_of_byte (Binio.read_byte r) with
-    | Some l -> l
-    | None -> Binio.fail "unknown isolation level byte"
-  in
+  let ss_level = read_level r in
   let ss_poisoned = read_bool r in
   let ss_pinned = read_bool r in
   let ss_frontier = Binio.read_uvarint r in
@@ -385,15 +370,11 @@ let decode_payload payload =
         let version = Binio.read_uvarint r in
         Welcome { version; server = Binio.read_string r }
     | 3 ->
-        let level =
-          match level_of_byte (Binio.read_byte r) with
-          | Some l -> l
-          | None -> Binio.fail "unknown isolation level byte"
-        in
+        let level = read_level r in
         let num_keys = Binio.read_uvarint r in
         let skew = Binio.read_varint r in
         let ts =
-          match ts_of_byte (Binio.read_byte r) with
+          match Ts.mode_of_byte (Binio.read_byte r) with
           | Some ts -> ts
           | None -> Binio.fail "unknown timestamp mode byte"
         in
@@ -481,14 +462,6 @@ let of_string ?(pos = 0) s =
 (* ------------------------------------------------------------------ *)
 (* Blocking I/O over file descriptors (EINTR-safe). *)
 
-let rec really_write fd b off len =
-  if len > 0 then
-    let n =
-      try Unix.write fd b off len with
-      | Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    really_write fd b (off + n) (len - n)
-
 (* [Ok None] = clean EOF at a frame boundary. *)
 let read_exact fd len =
   let b = Bytes.create len in
@@ -513,7 +486,7 @@ let write_frame fd bufs frame =
   Buffer.clear bufs.ob_out;
   encode ~scratch:bufs.ob_scratch bufs.ob_out frame;
   let b = Buffer.to_bytes bufs.ob_out in
-  really_write fd b 0 (Bytes.length b)
+  Binio.really_write fd b 0 (Bytes.length b)
 
 let sp_decode = Obs.Trace.intern "wire/decode"
 

@@ -131,6 +131,13 @@ wait "$SERVER_PID"
 [ $? -eq 0 ] || fail "durable server must exit 0 on SIGTERM"
 SERVER_PID=""
 grep -q "snap-" <(ls "$WAL") || fail "final checkpoint must leave snapshots"
+# ... and wal-dump must read them back: the detached faulty session is a
+# live SI snapshot entry (its violation lies after the kill)
+"$MTC" wal-dump "$WAL" > "$TMP/dump2.out" \
+  || fail "wal-dump must read the checkpointed $WAL"
+grep -q "session $BAD_SID: SI, 10 keys, last_seq [0-9]*, live (" \
+  "$TMP/dump2.out" \
+  || fail "snapshot must hold the faulty session live (see $TMP/dump2.out)"
 
 rm -f "$SOCK"
 "$MTC" serve --listen "unix:$SOCK" --wal-dir "$WAL" -j 2 \

@@ -25,4 +25,5 @@ let () =
       ("par", Test_par.suite);
       ("ts", Test_ts.suite);
     ("persist", Test_persist.suite);
+    ("golden", Test_golden.suite);
     ]

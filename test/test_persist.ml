@@ -59,8 +59,10 @@ let fixture_txns =
 
 let fixture_records n ~close =
   let feeds = List.filteri (fun i _ -> i < n) (Lazy.force fixture_txns) in
-  (Wal.R_open { sid = 1; level = Checker.SER; num_keys = 10; skew = 0;
-                ts = Ts.Ignore; gc = Online.Gc_off }
+  (Wal.R_open
+     { sid = 1;
+       params = { level = Checker.SER; num_keys = 10; skew = 0;
+                  ts = Ts.Ignore; gc = Online.Gc_off } }
   :: List.mapi (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn }) feeds)
   @ (if close then [ Wal.R_close { sid = 1 } ] else [])
 
@@ -161,18 +163,18 @@ let test_wal_bitflip_detected () =
 
 let test_snapshot_roundtrip () =
   let path = temp_name ".snap" in
-  let meta =
-    { Snapshot_store.level = Checker.SI; num_keys = 10; skew = 0;
+  let params =
+    { Session_state.level = Checker.SI; num_keys = 10; skew = 0;
       ts = Ts.Ignore; gc = Online.Gc_off }
   in
   let entries =
     [
       {
-        Snapshot_store.sid = 4;
-        meta;
+        Session_state.sid = 4;
+        params;
         last_seq = 17;
         state =
-          Snapshot_store.Poisoned
+          Poisoned
             { anomaly = Some "lost update"; rendered = "SI violation: boom" };
       };
     ]
@@ -187,13 +189,13 @@ let test_snapshot_roundtrip () =
       checki "next_sid" 7 info.Snapshot_store.i_next_sid;
       (match info.Snapshot_store.i_entries with
       | [ e ] -> (
-          checki "sid" 4 e.Snapshot_store.sid;
-          checki "last_seq" 17 e.Snapshot_store.last_seq;
-          match e.Snapshot_store.state with
-          | Snapshot_store.Poisoned { anomaly; rendered } ->
+          checki "sid" 4 e.Session_state.sid;
+          checki "last_seq" 17 e.last_seq;
+          match e.state with
+          | Poisoned { anomaly; rendered } ->
               checkb "anomaly" (anomaly = Some "lost update") true;
               checks "rendered verbatim" "SI violation: boom" rendered
-          | Snapshot_store.Live _ -> Alcotest.fail "poisoned came back live")
+          | Live _ -> Alcotest.fail "poisoned came back live")
       | es -> Alcotest.fail (Printf.sprintf "%d entries" (List.length es))));
   Sys.remove path
 
@@ -290,7 +292,8 @@ let resumed_verdict ?(gc = Online.Gc_off) ~level ~shards ~bounce ~cut h dir =
   write_wal
     (Filename.concat dir "wal-0-1")
     (Wal.R_open
-       { sid = 1; level; num_keys = 10; skew = 0; ts = Ts.Ignore; gc }
+       { sid = 1;
+         params = { level; num_keys = 10; skew = 0; ts = Ts.Ignore; gc } }
     :: List.mapi
          (fun i txn -> Wal.R_feed { sid = 1; seq = i + 1; txn })
          logged);
@@ -411,6 +414,73 @@ let test_resume_refused () =
             (Result.is_error (Client.resume_session c ~sid:1))
             true))
 
+(* A session-fatal feed (transaction id reuse) makes the live server
+   close the session with a protocol error.  A kill -9 between that
+   feed's WAL append and its close record leaves a WAL whose last feed
+   reuses an id with no R_close after it; replay must drop the session
+   just as the live server closed it — [Resume_session] finds nothing —
+   while a healthy session in the same log resumes as usual. *)
+let test_replay_fatal_feed () =
+  let t1 = Txn.make ~id:1 ~session:1 [ Op.Read (0, 0); Op.Write (0, 1) ] in
+  let reuse = Txn.make ~id:1 ~session:1 [ Op.Read (0, 1); Op.Write (0, 2) ] in
+  let t2 = Txn.make ~id:2 ~session:1 [ Op.Read (1, 0); Op.Write (1, 1) ] in
+  with_server (fun _ addr ->
+      with_client addr (fun c ->
+          let sid =
+            ok "open" (Client.open_session c ~level:Checker.SER ~num_keys:10 ())
+          in
+          ignore (ok "feed" (Client.feed ~seq:1 c ~sid t1));
+          ignore (Client.feed ~seq:2 c ~sid reuse);
+          checkb "live: sync refused" true
+            (Result.is_error (Client.sync c ~sid));
+          checkb "live: closed as a protocol error" true
+            (match Client.session_closed c ~sid with
+            | Some (Wire.R_protocol _) -> true
+            | _ -> false)));
+  let dir = temp_name ".wal.d" in
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let params =
+        { Session_state.level = Checker.SER; num_keys = 10; skew = 0;
+          ts = Ts.Ignore; gc = Online.Gc_off }
+      in
+      write_wal
+        (Filename.concat dir "wal-0-1")
+        [
+          Wal.R_open { sid = 1; params };
+          Wal.R_open { sid = 2; params };
+          Wal.R_feed { sid = 1; seq = 1; txn = t1 };
+          Wal.R_feed { sid = 2; seq = 1; txn = t2 };
+          Wal.R_feed { sid = 1; seq = 2; txn = reuse };
+        ];
+      with_server
+        ~config:{ Server.default_config with Server.wal_dir = Some dir }
+        (fun _ addr ->
+          with_client addr (fun c ->
+              checki "healthy session resumes" 1
+                (ok "resume 2" (Client.resume_session c ~sid:2)));
+          let path =
+            match addr with Server.A_unix p -> p | _ -> assert false
+          in
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              let bufs = Wire.out_bufs () in
+              Wire.write_frame fd bufs (Wire.Hello { version = Wire.version });
+              (match Wire.read_frame fd with
+              | Ok (Some (Wire.Welcome _)) -> ()
+              | _ -> Alcotest.fail "welcome expected");
+              Wire.write_frame fd bufs (Wire.Resume_session { sid = 1 });
+              match Wire.read_frame fd with
+              | Ok (Some (Wire.Error { code; _ })) ->
+                  checki "replayed fatal feed: unknown session"
+                    Wire.err_unknown_session code
+              | _ -> Alcotest.fail "resume of the dropped session must fail")))
+
 let suite =
   [
     qtest prop_wal_truncation_total;
@@ -424,4 +494,6 @@ let suite =
      test_restore_after_gc);
     ("resume refused when unknown or non-durable", `Quick,
      test_resume_refused);
+    ("replayed session-fatal feed drops the session", `Quick,
+     test_replay_fatal_feed);
   ]
