@@ -36,14 +36,20 @@ let pp_error ppf (Unresolved_read { txn; key; value }) =
    [emit] receives each chain edge; start times binary-search the sorted
    commit times. *)
 let sweep_edges ~skew (idx : Index.t) m emit =
+  let key = Array.init m (fun v -> (Index.txn_of_vertex idx v).Txn.commit_ts) in
   let by_commit = Array.init m (fun v -> v) in
-  Array.sort
-    (fun a b ->
-      compare (Index.txn_of_vertex idx a).Txn.commit_ts
-        (Index.txn_of_vertex idx b).Txn.commit_ts)
-    by_commit;
+  (* Strictly increasing keys (commit order = id order, the common case)
+     admit only the identity as their sorted order, so the sort is
+     skipped; otherwise the same comparator over the flat keys gives the
+     same permutation, ties included, as over the transactions. *)
+  let increasing = ref true in
+  for v = 1 to m - 1 do
+    if key.(v - 1) >= key.(v) then increasing := false
+  done;
+  if not !increasing then
+    Array.sort (fun a b -> compare key.(a) key.(b)) by_commit;
   let commits =
-    Array.map (fun v -> (Index.txn_of_vertex idx v).Txn.commit_ts) by_commit
+    if !increasing then key else Array.map (fun v -> key.(v)) by_commit
   in
   for r = 0 to m - 1 do
     emit by_commit.(r) (m + r);

@@ -10,100 +10,76 @@ let pp_instance ppf { key; writer; reader1 = r1, v1; reader2 = r2, v2 } =
     "DIVERGENCE on x%d: T%d and T%d both read from T%d and wrote %d / %d" key
     r1 r2 writer v1 v2
 
+(* Index of the last write to [k] in [ops], or -1. *)
+let last_write (ops : Op.t array) k =
+  let j = ref (Array.length ops - 1) in
+  while
+    !j >= 0
+    && match ops.(!j) with Op.Write (k', _) -> k' <> k | Op.Read _ -> true
+  do
+    decr j
+  done;
+  !j
+
+(* Key stripes are independent (a diverging pair lives entirely on one
+   key), so a pool slice scans its range of stripes in one pass. *)
+let num_stripes = 8
+
 (* A committed transaction S "diverges" on x if it has an external read
    R(x, v) and a final write W(x, _): it extends the version chain of the
-   writer of v.  Two extenders of the same (x, v) form the pattern. *)
-let scan (idx : Index.t) ~all =
-  let first_extender : (Op.key * Op.value, Txn.id * Op.value) Hashtbl.t =
-    Hashtbl.create 64
+   writer of v.  Two extenders of the same (x, v) form the pattern.  One
+   pass over the committed transactions, screening the keys of stripes
+   [lo, hi): the first extender of each (x, v) sits in a packed-pair
+   table, and the hits come back as (committed position, op index,
+   instance) in scan order — only the first unless [all]. *)
+let scan (idx : Index.t) ~lo ~hi ~all =
+  let first_extender =
+    Flat_index.Pairs.create ~num_keys:idx.history.History.num_keys ()
   in
   let found = ref [] in
+  let sv = ref 0 in
   let exception Hit in
+  let on_read i k v =
+    (* keys of a history are >= 0: this is k mod 8 *)
+    let stripe = k land (num_stripes - 1) in
+    if stripe >= lo && stripe < hi then begin
+      let s = idx.committed.(!sv) in
+      let w = last_write s.Txn.ops k in
+      if w >= 0 then begin
+        let v_new = Op.value s.ops.(w) in
+        let other = Flat_index.Pairs.first first_extender k v in
+        if other < 0 then Flat_index.Pairs.set first_extender k v s.id v_new
+        else begin
+          let v_other = Flat_index.Pairs.second first_extender k v in
+          let writer =
+            match Index.writer_of idx k v with
+            | Index.Final w | Index.Intermediate w | Index.Aborted w -> w
+            | Index.Nobody -> -1
+          in
+          let inst =
+            { key = k; writer; reader1 = (other, v_other);
+              reader2 = (s.id, v_new) }
+          in
+          found := (!sv, i, inst) :: !found;
+          if not all then raise Hit
+        end
+      end
+    end
+  in
   (try
-     Array.iter
-       (fun (s : Txn.t) ->
-         List.iter
-           (fun (k, v) ->
-             match Txn.write_of s k with
-             | None -> ()
-             | Some v_new -> (
-                 match Hashtbl.find_opt first_extender (k, v) with
-                 | None -> Hashtbl.replace first_extender (k, v) (s.id, v_new)
-                 | Some (other, v_other) ->
-                     let writer =
-                       match Index.writer_of idx k v with
-                       | Index.Final w -> w
-                       | Index.Intermediate w | Index.Aborted w -> w
-                       | Index.Nobody -> -1
-                     in
-                     found :=
-                       {
-                         key = k;
-                         writer;
-                         reader1 = (other, v_other);
-                         reader2 = (s.id, v_new);
-                       }
-                       :: !found;
-                     if not all then raise Hit))
-           (Txn.external_reads s))
-       idx.committed
+     for c = 0 to Array.length idx.committed - 1 do
+       sv := c;
+       Txn.iter_external_reads idx.committed.(c) on_read
+     done
    with Hit -> ());
   List.rev !found
 
-(* Key-striped first-instance scan: a diverging pair lives entirely on
-   one key, so stripes are independent; each tracks the (committed
-   position, external-read rank) of its first hit and the global minimum
-   reproduces the sequential scan order exactly. *)
-let num_stripes = 8
-
-let find_striped ?pool (idx : Index.t) =
+(* Each slice's first hit; the minimum (committed position, op index)
+   is the sequential scan's first instance. *)
+let find ?pool (idx : Index.t) =
   let results =
     Pool.map_slices pool ~n:num_stripes (fun lo hi ->
-        let best = ref None in
-        for stripe = lo to hi - 1 do
-          let first_extender : (Op.key * Op.value, Txn.id * Op.value) Hashtbl.t
-              =
-            Hashtbl.create 64
-          in
-          (try
-             Array.iteri
-               (fun sv (s : Txn.t) ->
-                 List.iteri
-                   (fun ri (k, v) ->
-                     if k mod num_stripes = stripe then
-                       match Txn.write_of s k with
-                       | None -> ()
-                       | Some v_new -> (
-                           match Hashtbl.find_opt first_extender (k, v) with
-                           | None ->
-                               Hashtbl.replace first_extender (k, v)
-                                 (s.id, v_new)
-                           | Some (other, v_other) ->
-                               let writer =
-                                 match Index.writer_of idx k v with
-                                 | Index.Final w -> w
-                                 | Index.Intermediate w | Index.Aborted w -> w
-                                 | Index.Nobody -> -1
-                               in
-                               let inst =
-                                 {
-                                   key = k;
-                                   writer;
-                                   reader1 = (other, v_other);
-                                   reader2 = (s.id, v_new);
-                                 }
-                               in
-                               (match !best with
-                               | Some (bsv, bri, _)
-                                 when bsv < sv || (bsv = sv && bri < ri) ->
-                                   ()
-                               | Some _ | None -> best := Some (sv, ri, inst));
-                               raise Exit))
-                   (Txn.external_reads s))
-               idx.committed
-           with Exit -> ())
-        done;
-        !best)
+        match scan idx ~lo ~hi ~all:false with [] -> None | hit :: _ -> Some hit)
   in
   let best =
     Array.fold_left
@@ -117,9 +93,5 @@ let find_striped ?pool (idx : Index.t) =
   in
   Option.map (fun (_, _, inst) -> inst) best
 
-let find ?pool idx =
-  match pool with
-  | Some _ -> find_striped ?pool idx
-  | None -> ( match scan idx ~all:false with [] -> None | i :: _ -> Some i)
-
-let find_all idx = scan idx ~all:true
+let find_all idx =
+  List.map (fun (_, _, inst) -> inst) (scan idx ~lo:0 ~hi:num_stripes ~all:true)

@@ -13,48 +13,10 @@
     it cannot overflow, and the rare unpackable pair falls back to a
     tuple-keyed spill table. *)
 
-type t
-
-val create : ?capacity:int -> unit -> t
-(** [capacity] is a size hint (rounded up to a power of two, min 16). *)
-
-val length : t -> int
-
-val set : t -> int -> int -> unit
-(** [set t k v] binds [k] to [v], replacing any previous binding.
-    @raise Invalid_argument if [v < 0] (reserved for "absent"). *)
-
-val get : t -> int -> int
-(** [get t k] is the value bound to [k], or [-1] if unbound. *)
-
-val mem : t -> int -> bool
-
-val iter : t -> (int -> int -> unit) -> unit
-(** [iter t f] applies [f key value] to every live binding, in slot
-    order (an implementation order — callers must not depend on it
-    beyond determinism for a fixed insertion history). *)
-
-val words : t -> int
-(** Rough size of the backing store in words, O(1). *)
-
-val filtered : t -> (int -> bool) -> t
-(** [filtered t pred] is a fresh map holding exactly the bindings whose
-    key [pred] accepts, sized for the survivors. *)
-
-val encode : Buffer.t -> t -> unit
-(** Snapshot serialization: the live pairs.  Probe layout is not
-    preserved (it is unobservable through this interface). *)
-
-val decode : Binio_core.reader -> t
-(** Inverse of {!encode}.
-    @raise Binio_core.Decode_error on truncated or malformed input. *)
-
-val pack_pair : num_keys:int -> int -> int -> int
-(** [pack_pair ~num_keys k v] is the shared injective packing
-    [v * num_keys + k] of a [(key, value)] pair into one int, or [-1]
-    when the pair has no collision-free packing ([k] outside
-    [0, num_keys), [v] negative, or overflow) — callers fall back to a
-    tuple-keyed spill for those. *)
+include module type of struct
+  include Int_map
+end
+(** The raw map and {!pack_pair}, shared with the history layer. *)
 
 (** Final / intermediate / aborted writer resolution over packed pairs —
     the backing store of {!Index} and the streaming {!Online} checker. *)

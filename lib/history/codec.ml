@@ -1,128 +1,348 @@
-let to_string (h : History.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "mtc-history v1\n";
-  Buffer.add_string buf (Printf.sprintf "keys %d\n" h.num_keys);
-  Buffer.add_string buf (Printf.sprintf "sessions %d\n" h.num_sessions);
+let add_history buf (h : History.t) =
+  Buffer.add_string buf "mtc-history v1\nkeys ";
+  Op.add_int buf h.num_keys;
+  Buffer.add_string buf "\nsessions ";
+  Op.add_int buf h.num_sessions;
+  Buffer.add_char buf '\n';
   Array.iter
     (fun (t : Txn.t) ->
       if t.id <> History.init_id then begin
+        Buffer.add_string buf "txn ";
+        Op.add_int buf t.id;
+        Buffer.add_char buf ' ';
+        Op.add_int buf t.session;
         Buffer.add_string buf
-          (Printf.sprintf "txn %d %d %s %d %d" t.id t.session
-             (match t.status with Txn.Committed -> "C" | Txn.Aborted -> "A")
-             t.start_ts t.commit_ts);
-        Array.iter
-          (fun op ->
-            Buffer.add_char buf ' ';
-            Buffer.add_string buf (Op.to_string op))
-          t.ops;
+          (match t.status with Txn.Committed -> " C " | Txn.Aborted -> " A ");
+        Op.add_int buf t.start_ts;
+        Buffer.add_char buf ' ';
+        Op.add_int buf t.commit_ts;
+        for i = 0 to Array.length t.ops - 1 do
+          Buffer.add_char buf ' ';
+          Op.add_to_buffer buf t.ops.(i)
+        done;
         Buffer.add_char buf '\n'
       end)
-    h.txns;
-  Buffer.contents buf
+    h.txns
 
-(* Parsing is total: any malformed input — truncated op, unknown status,
+(* A txn line with four mini-transaction ops is about 80 bytes. *)
+let text_buffer (h : History.t) =
+  let buf = Buffer.create (Stdlib.max 4096 (80 * Array.length h.txns)) in
+  add_history buf h;
+  buf
+
+let to_string h = Buffer.contents (text_buffer h)
+
+(* --- text parsing ---
+
+   One cursor pass over the input.  A canonical txn line — "txn", five
+   plain decimal fields and the ops, single spaces, ending in '\n' — is
+   read in place as the cursor meets it: integers are summed where they
+   lie and the ops go into one reused buffer, from which each
+   transaction's op array is cut.  Any other line is located by its
+   '\n', trimmed with [String.trim]'s notion of whitespace and read field
+   by field with the full syntax ([int_of_string_opt] for the fields).
+   {!Op.scan} is the one op grammar of both paths.  Nothing is split
+   into lists of lines or tokens.
+
+   Parsing is total: any malformed input — truncated op, unknown status,
    duplicate or out-of-order transaction id, key out of range — yields
    [Error] with the 1-based line number of the offending line in the
-   original input (comment and blank lines count), never an exception. *)
+   original input (comment and blank lines count), never an exception.
+
+   Error precedence (fixed by the format's first, list-based parser):
+   a header error — empty input, missing magic, truncated header, then
+   the keys line, then the sessions line — comes first; then the first
+   syntax error of any txn line; then the first id / session / key error
+   in line order.  A syntax error therefore beats a semantic error on an
+   earlier line, so the pass records the first semantic error and keeps
+   reading. *)
 
 exception Bad of string
 
 let sp_parse = Obs.Trace.intern "parse"
 
+let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+let faill line fmt =
+  Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "line %d: %s" line m))) fmt
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* Index of the first ' ' in [s.[i..j)], or [j]. *)
+let field_end s i j =
+  let k = ref i in
+  while !k < j && String.unsafe_get s !k <> ' ' do
+    incr k
+  done;
+  !k
+
+let span_is s i j lit =
+  j - i = String.length lit
+  &&
+  let k = ref 0 in
+  while !k < j - i && s.[i + !k] = lit.[!k] do
+    incr k
+  done;
+  !k = j - i
+
+(* A header or txn field off the fast path; a non-integer is "line
+   [ln]: bad [what]". *)
+let int_field ln what s i j =
+  let tok = String.sub s i (j - i) in
+  match int_of_string_opt tok with
+  | Some n -> n
+  | None -> faill ln "bad %s %S" what tok
+
+(* A ["keys <n>"] / ["sessions <n>"] header line [s.[a..b)]: exactly
+   two space-separated fields, the first being [name]. *)
+let header_count ln name s a b =
+  let e = field_end s a b in
+  if e = b || field_end s (e + 1) b < b || not (span_is s a e name) then
+    faill ln "expected %S header, got %S" (name ^ " <n>")
+      (String.sub s a (b - a));
+  int_field ln (name ^ " count") s (e + 1) b
+
+let unparseable ln s a b =
+  faill ln "unparseable txn line %S" (String.sub s a (b - a))
+
+let magic = "mtc-history v1"
+
+(* Header progress of the pass. *)
+type stage = Want_magic | Want_keys | Want_sessions | Txns
+
+exception Slow
+
+(* A plain decimal field at [c.pos] — an optional '-' and 1 to 18
+   digits — for the canonical-line fast path; [c.pos] moves past it.
+   On such a token [int_of_string_opt] returns exactly this value. *)
+let plain_int s c n =
+  let i = c.Op.pos in
+  let d = if i < n && String.unsafe_get s i = '-' then i + 1 else i in
+  let k = ref d and acc = ref 0 in
+  while
+    !k < n
+    &&
+    let ch = String.unsafe_get s !k in
+    ch >= '0' && ch <= '9'
+  do
+    acc := (!acc * 10) + (Char.code (String.unsafe_get s !k) - 48);
+    incr k
+  done;
+  if !k = d || !k - d > 18 then raise_notrace Slow;
+  c.Op.pos <- !k;
+  if d > i then - !acc else !acc
+
+(* The single space that ends a fast-path field. *)
+let space s c n =
+  let i = c.Op.pos in
+  if i < n && String.unsafe_get s i = ' ' then c.Op.pos <- i + 1
+  else raise_notrace Slow
+
 let of_string s = Obs.Trace.with_span sp_parse @@ fun () ->
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let faill line fmt =
-    Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "line %d: %s" line m))) fmt
+  let n = String.length s in
+  let stage = ref Want_magic in
+  let keys_at = ref (0, 0, 0) (* line, first byte, end byte *) in
+  let num_keys = ref 0 and num_sessions = ref 0 in
+  let txns = ref (Array.make 1024 (History.init_txn ~num_keys:0)) in
+  let count = ref 0 in
+  let semantic = ref None in
+  let note_semantic ln fmt =
+    Printf.ksprintf
+      (fun m ->
+        if !semantic = None then
+          semantic := Some (Printf.sprintf "line %d: %s" ln m))
+      fmt
   in
-  (* (original line number, trimmed content), comments/blanks dropped *)
-  let lines =
-    String.split_on_char '\n' s
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) ->
-           l <> "" && not (String.length l > 0 && l.[0] = '#'))
+  (* The current line's ops, collected before its array is cut. *)
+  let ops_buf = ref (Array.make 16 (Op.Read (0, 0))) in
+  let nops = ref 0 in
+  let push_op op =
+    if !nops = Array.length !ops_buf then begin
+      let bigger = Array.make (2 * !nops) (Op.Read (0, 0)) in
+      Array.blit !ops_buf 0 bigger 0 !nops;
+      ops_buf := bigger
+    end;
+    !ops_buf.(!nops) <- op;
+    incr nops
   in
-  let parse_kv name (ln, line) =
-    match String.split_on_char ' ' line with
-    | [ k; v ] when k = name -> (
-        match int_of_string_opt v with
-        | Some n -> n
-        | None -> faill ln "bad %s count %S" name v)
-    | _ -> faill ln "expected %S header, got %S" (name ^ " <n>") line
+  (* A transaction read off line [ln]: the id / session / key checks
+     (first failure kept, reading goes on), then append. *)
+  let add_txn ln id session status start_ts commit_ts =
+    let ops = if !nops = 0 then [||] else Array.sub !ops_buf 0 !nops in
+    (* Ids must be the dense sequence 1..n in order (the implicit initial
+       transaction is id 0): every earlier line passed this check, so an
+       id in [1, count] is a duplicate. *)
+    if !semantic = None then begin
+      let pos = !count + 1 in
+      if id <> pos then
+        if id >= 1 && id < pos then note_semantic ln "duplicate txn id %d" id
+        else note_semantic ln "txn id %d out of order (expected %d)" id pos
+      else if session < 1 || session > !num_sessions then
+        note_semantic ln "session %d out of [1,%d]" session !num_sessions
+      else
+        let i = ref 0 in
+        while !semantic = None && !i < Array.length ops do
+          let k = Op.key ops.(!i) in
+          if k < 0 || k >= !num_keys then
+            note_semantic ln "key %d out of [0,%d)" k !num_keys;
+          incr i
+        done
+    end;
+    if !count + 1 >= Array.length !txns then begin
+      let bigger = Array.make (2 * Array.length !txns) !txns.(0) in
+      Array.blit !txns 0 bigger 0 (Array.length !txns);
+      txns := bigger
+    end;
+    incr count;
+    !txns.(!count) <- { Txn.id; session; ops; status; start_ts; commit_ts }
   in
-  let parse_txn (ln, line) =
-    match String.split_on_char ' ' line with
-    | "txn" :: id :: session :: status :: start :: commit :: ops ->
-        let int what s =
-          match int_of_string_opt s with
-          | Some n -> n
-          | None -> faill ln "bad %s %S" what s
-        in
-        let id = int "txn id" id in
-        let session = int "session" session in
-        let status =
-          match status with
-          | "C" -> Txn.Committed
-          | "A" -> Txn.Aborted
-          | other -> faill ln "bad status %S (want C or A)" other
-        in
-        let start_ts = int "start_ts" start in
-        let commit_ts = int "commit_ts" commit in
-        let ops =
-          List.map
-            (fun op_s ->
-              match Op.of_string op_s with
-              | Some op -> op
-              | None -> faill ln "bad operation %S" op_s)
-            ops
-        in
-        (ln, Txn.make ~id ~session ~status ~start_ts ~commit_ts ops)
-    | _ -> faill ln "unparseable txn line %S" line
+  let cur = { Op.pos = 0 } in
+  (* Fast path: the canonical line "txn <id> <session> <C|A> <start>
+     <commit>( <op>)*" ending in '\n' or the input's end, its five fields
+     plain decimals.  Such a line is its own trimmed form and its fields
+     are exactly its space-split tokens, so reading it in place gives
+     what the general path would.  Returns the next line's first byte;
+     raises [Slow] on anything else, and the general path re-reads the
+     line from its start. *)
+  let fast_line ln p =
+    if
+      p + 4 > n
+      || String.unsafe_get s p <> 't'
+      || String.unsafe_get s (p + 1) <> 'x'
+      || String.unsafe_get s (p + 2) <> 'n'
+      || String.unsafe_get s (p + 3) <> ' '
+    then raise_notrace Slow;
+    nops := 0;
+    cur.pos <- p + 4;
+    let id = plain_int s cur n in
+    space s cur n;
+    let session = plain_int s cur n in
+    space s cur n;
+    let q = cur.pos in
+    let status =
+      if q + 1 >= n || String.unsafe_get s (q + 1) <> ' ' then
+        raise_notrace Slow
+      else
+        match String.unsafe_get s q with
+        | 'C' -> Txn.Committed
+        | 'A' -> Txn.Aborted
+        | _ -> raise_notrace Slow
+    in
+    cur.pos <- q + 2;
+    let start_ts = plain_int s cur n in
+    space s cur n;
+    let commit_ts = plain_int s cur n in
+    while cur.pos < n && String.unsafe_get s cur.pos <> '\n' do
+      space s cur n;
+      match Op.scan s cur n with
+      | op -> push_op op
+      | exception Op.Malformed -> raise_notrace Slow
+    done;
+    add_txn ln id session status start_ts commit_ts;
+    cur.pos + 1
+  in
+  (* General path: one trimmed txn line [s.[a..b)] — the six fixed
+     fields, then one op per remaining space-separated field (doubled
+     spaces make empty ops). *)
+  let txn_line ln a b =
+    let e0 = field_end s a b in
+    if e0 = b || not (span_is s a e0 "txn") then unparseable ln s a b;
+    let e1 = field_end s (e0 + 1) b in
+    if e1 = b then unparseable ln s a b;
+    let e2 = field_end s (e1 + 1) b in
+    if e2 = b then unparseable ln s a b;
+    let e3 = field_end s (e2 + 1) b in
+    if e3 = b then unparseable ln s a b;
+    let e4 = field_end s (e3 + 1) b in
+    if e4 = b then unparseable ln s a b;
+    let e5 = field_end s (e4 + 1) b in
+    let id = int_field ln "txn id" s (e0 + 1) e1 in
+    let session = int_field ln "session" s (e1 + 1) e2 in
+    let status =
+      if e3 - e2 = 2 && s.[e2 + 1] = 'C' then Txn.Committed
+      else if e3 - e2 = 2 && s.[e2 + 1] = 'A' then Txn.Aborted
+      else
+        faill ln "bad status %S (want C or A)"
+          (String.sub s (e2 + 1) (e3 - e2 - 1))
+    in
+    let start_ts = int_field ln "start_ts" s (e3 + 1) e4 in
+    let commit_ts = int_field ln "commit_ts" s (e4 + 1) e5 in
+    nops := 0;
+    let p = ref e5 in
+    while !p < b do
+      let q = field_end s (!p + 1) b in
+      (match Op.parse s (!p + 1) q with
+      | op -> push_op op
+      | exception Op.Malformed ->
+          faill ln "bad operation %S" (String.sub s (!p + 1) (q - !p - 1)));
+      p := q
+    done;
+    add_txn ln id session status start_ts commit_ts
+  in
+  let line ln a b =
+    match !stage with
+    | Want_magic ->
+        if not (span_is s a b magic) then
+          faill ln "missing magic line 'mtc-history v1'";
+        stage := Want_keys
+    | Want_keys ->
+        keys_at := (ln, a, b);
+        stage := Want_sessions
+    | Want_sessions ->
+        let kln, ka, kb = !keys_at in
+        num_keys := header_count kln "keys" s ka kb;
+        num_sessions := header_count ln "sessions" s a b;
+        stage := Txns
+    | Txns -> txn_line ln a b
   in
   try
-    match lines with
-    | (_, header) :: rest when header = "mtc-history v1" -> (
-        match rest with
-        | keys_line :: sessions_line :: txn_lines ->
-            let num_keys = parse_kv "keys" keys_line in
-            let num_sessions = parse_kv "sessions" sessions_line in
-            let txns = List.map parse_txn txn_lines in
-            (* Ids must be the dense sequence 1..n in order (the implicit
-               initial transaction is id 0): diagnose duplicates and gaps
-               with their line before History.make would. *)
-            List.iteri
-              (fun i (ln, (t : Txn.t)) ->
-                if t.Txn.id <> i + 1 then
-                  if
-                    List.exists
-                      (fun (_, (u : Txn.t)) -> u.Txn.id = t.Txn.id)
-                      (List.filteri (fun j _ -> j < i) txns)
-                  then faill ln "duplicate txn id %d" t.Txn.id
-                  else
-                    faill ln "txn id %d out of order (expected %d)" t.Txn.id
-                      (i + 1);
-                if t.Txn.session < 1 || t.Txn.session > num_sessions then
-                  faill ln "session %d out of [1,%d]" t.Txn.session num_sessions;
-                Array.iter
-                  (fun op ->
-                    let k = Op.key op in
-                    if k < 0 || k >= num_keys then
-                      faill ln "key %d out of [0,%d)" k num_keys)
-                  t.Txn.ops)
-              txns;
-            (* all History.make preconditions were just checked per line;
-               keep the guard anyway so parsing stays total *)
-            (try Ok (History.make ~num_keys ~num_sessions (List.map snd txns))
-             with Invalid_argument m -> fail "%s" m)
-        | _ -> fail "truncated header (want magic, keys, sessions)")
-    | (ln, _) :: _ -> faill ln "missing magic line 'mtc-history v1'"
-    | [] -> fail "empty input"
+    let start = ref 0 and ln = ref 1 in
+    while !start <= n do
+      let next =
+        if !stage = Txns then try fast_line !ln !start with Slow -> -1 else -1
+      in
+      if next >= 0 then start := next
+      else begin
+        let eol = ref !start in
+        while !eol < n && String.unsafe_get s !eol <> '\n' do
+          incr eol
+        done;
+        let a = ref !start and b = ref !eol in
+        while !a < !b && is_space (String.unsafe_get s !a) do
+          incr a
+        done;
+        while !b > !a && is_space (String.unsafe_get s (!b - 1)) do
+          decr b
+        done;
+        if !a < !b && s.[!a] <> '#' then line !ln !a !b;
+        start := !eol + 1
+      end;
+      incr ln
+    done;
+    match !stage with
+    | Want_magic -> fail "empty input"
+    | Want_keys | Want_sessions ->
+        fail "truncated header (want magic, keys, sessions)"
+    | Txns -> (
+        match !semantic with
+        | Some m -> Error m
+        | None -> (
+            (* every History.make precondition was just checked per
+               line; keep the guard anyway so parsing stays total *)
+            try
+              let all = Array.sub !txns 0 (!count + 1) in
+              all.(0) <- History.init_txn ~num_keys:!num_keys;
+              Ok
+                (History.of_array ~num_keys:!num_keys
+                   ~num_sessions:!num_sessions all)
+            with Invalid_argument m -> Error m))
   with Bad m -> Error m
 
 let save path h =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string h))
+    (fun () -> Buffer.output_buffer oc (text_buffer h))
 
 (* --- binary format ---------------------------------------------------
 

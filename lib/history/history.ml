@@ -23,15 +23,14 @@ let of_array ?pool ~num_keys ~num_sessions all =
              invalid_arg
                (Printf.sprintf "History.make: T%d has session %d out of [1,%d]"
                   t.id t.session num_sessions);
-           Array.iter
-             (fun op ->
-               let k = Op.key op in
-               if k < 0 || k >= num_keys then
-                 invalid_arg
-                   (Printf.sprintf
-                      "History.make: T%d accesses key %d out of [0,%d)" t.id k
-                      num_keys))
-             t.ops
+           for j = 0 to Array.length t.ops - 1 do
+             let k = Op.key t.ops.(j) in
+             if k < 0 || k >= num_keys then
+               invalid_arg
+                 (Printf.sprintf
+                    "History.make: T%d accesses key %d out of [0,%d)" t.id k
+                    num_keys)
+           done
          done));
   { txns = all; num_sessions; num_keys }
 
@@ -88,46 +87,60 @@ let rt_before h t1 t2 =
   let a = h.txns.(t1) and b = h.txns.(t2) in
   a.commit_ts < b.start_ts
 
-(* Key stripes screen independently (a duplicate pair involves one key);
-   each reports its first duplicate's (txn position, op index) and the
-   global minimum reproduces the sequential first-in-scan-order error. *)
+(* Key stripes screen independently (a duplicate pair involves one key),
+   so a pool slice screens its range of stripes in one pass over the
+   history; each slice reports its first duplicate's (txn position, op
+   index) and the global minimum reproduces the sequential
+   first-in-scan-order error.  Pairs live packed in an [Int_map] from
+   (key, value) to the writer's id, with a tuple-keyed spill for the
+   rare unpackable pair (a negative or huge value). *)
 let uv_stripes = 8
 
 let unique_values ?pool h =
+  let num_keys = h.num_keys and n = Array.length h.txns in
   let results =
     Pool.map_slices pool ~n:uv_stripes (fun lo hi ->
-        let best = ref None in
-        for stripe = lo to hi - 1 do
-          let seen = Hashtbl.create 1024 in
-          let exception Dup in
-          try
-            Array.iteri
-              (fun ti (t : Txn.t) ->
-                Array.iteri
-                  (fun oi op ->
-                    match op with
-                    | Op.Write (k, v) when k mod uv_stripes = stripe -> (
-                        match Hashtbl.find_opt seen (k, v) with
-                        | Some other when other <> t.id ->
-                            let msg =
-                              Printf.sprintf
-                                "writes of value %d to key %d by both T%d and \
-                                 T%d"
-                                v k other t.id
-                            in
-                            (match !best with
-                            | Some (bt, bo, _)
-                              when bt < ti || (bt = ti && bo < oi) ->
-                                ()
-                            | Some _ | None -> best := Some (ti, oi, msg));
-                            raise Dup
-                        | Some _ | None -> Hashtbl.replace seen (k, v) t.id)
-                    | Op.Write _ | Op.Read _ -> ())
-                  t.ops)
-              h.txns
-          with Dup -> ()
-        done;
-        !best)
+        let seen =
+          Int_map.create ~capacity:(4 * n * (hi - lo) / uv_stripes) ()
+        in
+        let spill = Hashtbl.create 8 in
+        let exception Dup of int * int * string in
+        try
+          for ti = 0 to n - 1 do
+            let t = h.txns.(ti) in
+            let ops = t.Txn.ops in
+            for oi = 0 to Array.length ops - 1 do
+              match ops.(oi) with
+              | Op.Write (k, v) ->
+                  (* keys of a history are >= 0: this is k mod 8 *)
+                  let stripe = k land (uv_stripes - 1) in
+                  if stripe >= lo && stripe < hi then begin
+                    let p = Int_map.pack_pair ~num_keys k v in
+                    let other =
+                      if p >= 0 then Int_map.get seen p
+                      else
+                        Option.value ~default:(-1)
+                          (Hashtbl.find_opt spill (k, v))
+                    in
+                    if other < 0 then begin
+                      if p >= 0 then Int_map.set seen p t.id
+                      else Hashtbl.replace spill (k, v) t.id
+                    end
+                    else if other <> t.id then
+                      raise
+                        (Dup
+                           ( ti,
+                             oi,
+                             Printf.sprintf
+                               "writes of value %d to key %d by both T%d and \
+                                T%d"
+                               v k other t.id ))
+                  end
+              | Op.Read _ -> ()
+            done
+          done;
+          None
+        with Dup (ti, oi, msg) -> Some (ti, oi, msg))
   in
   let best =
     Array.fold_left

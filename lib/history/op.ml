@@ -12,13 +12,126 @@ let pp ppf = function
   | Read (k, v) -> Format.fprintf ppf "R(x%d)=%d" k v
   | Write (k, v) -> Format.fprintf ppf "W(x%d):=%d" k v
 
-let to_string op = Format.asprintf "%a" pp op
+(* Decimal digits of [n], most significant first, exactly as
+   [string_of_int].  Digits are taken from the non-positive magnitude so
+   [min_int] needs no special case; one division per digit. *)
+let pow10 =
+  let a = Array.make 19 1 in
+  for e = 1 to 18 do
+    a.(e) <- 10 * a.(e - 1)
+  done;
+  a
+
+let add_int buf n =
+  let m = ref (if n < 0 then n else -n) in
+  if n < 0 then Buffer.add_char buf '-';
+  let e = ref 0 in
+  while !e < 18 && !m <= - pow10.(!e + 1) do
+    incr e
+  done;
+  for e = !e downto 0 do
+    let q = !m / pow10.(e) in
+    Buffer.add_char buf (Char.unsafe_chr (48 - q));
+    m := !m - (q * pow10.(e))
+  done
+
+let add_to_buffer buf = function
+  | Read (k, v) ->
+      Buffer.add_string buf "R(x";
+      add_int buf k;
+      Buffer.add_string buf ")=";
+      add_int buf v
+  | Write (k, v) ->
+      Buffer.add_string buf "W(x";
+      add_int buf k;
+      Buffer.add_string buf "):=";
+      add_int buf v
+
+let to_string op =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf op;
+  Buffer.contents buf
+
+(* --- the op grammar ---
+
+     op  ::= "R(x" int ")=" int  |  "W(x" int "):=" int
+     int ::= [+-]? digit (digit | '_')*
+
+   [int] is the integer syntax of [Scanf]'s ["%d"] (underscores are
+   skipped, the literal must fit an OCaml int), so every token the
+   [Scanf]-based parser of earlier releases read in full still parses to
+   the same op.  Unlike [Scanf], the whole token must match: a trailing
+   suffix ("R(x1)=5junk", or two ops glued by a missing space) is an
+   error rather than silently dropped. *)
+
+exception Malformed
+
+type cursor = { mutable pos : int }
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The [int] at [c.pos] (input ends at [j]); [c.pos] moves past it.  Up
+   to 18 digits cannot overflow and are summed as they are read; longer
+   literals go through [int_of_string_opt], which applies OCaml's own
+   range check (and skips underscores exactly as [Scanf] does). *)
+let scan_int s c j =
+  let i = c.pos in
+  let d = if i < j && (s.[i] = '-' || s.[i] = '+') then i + 1 else i in
+  if d >= j || not (is_digit s.[d]) then raise Malformed;
+  let k = ref d and acc = ref 0 and digits = ref 0 in
+  while
+    !k < j
+    &&
+    let ch = String.unsafe_get s !k in
+    is_digit ch || ch = '_'
+  do
+    let ch = String.unsafe_get s !k in
+    if ch <> '_' then begin
+      acc := (!acc * 10) + (Char.code ch - 48);
+      incr digits
+    end;
+    incr k
+  done;
+  c.pos <- !k;
+  if !digits <= 18 then if d > i && s.[i] = '-' then - !acc else !acc
+  else
+    match int_of_string_opt (String.sub s i (!k - i)) with
+    | Some n -> n
+    | None -> raise Malformed
+
+(* [lit] at [c.pos]; [c.pos] moves past it. *)
+let expect s c j lit =
+  let i = c.pos and n = String.length lit in
+  if i + n > j then raise Malformed;
+  for k = 0 to n - 1 do
+    if String.unsafe_get s (i + k) <> String.unsafe_get lit k then
+      raise Malformed
+  done;
+  c.pos <- i + n
+
+let scan s c j =
+  let i = c.pos in
+  if i >= j then raise Malformed;
+  let write =
+    match s.[i] with 'R' -> false | 'W' -> true | _ -> raise Malformed
+  in
+  c.pos <- i + 1;
+  expect s c j "(x";
+  let k = scan_int s c j in
+  expect s c j (if write then "):=" else ")=");
+  let v = scan_int s c j in
+  if write then Write (k, v) else Read (k, v)
+
+let parse s i j =
+  let c = { pos = i } in
+  let op = scan s c j in
+  if c.pos <> j then raise Malformed;
+  op
 
 let of_string s =
-  try Scanf.sscanf s "R(x%d)=%d" (fun k v -> Some (Read (k, v)))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> (
-    try Scanf.sscanf s "W(x%d):=%d" (fun k v -> Some (Write (k, v)))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  match parse s 0 (String.length s) with
+  | op -> Some op
+  | exception Malformed -> None
 
 let equal a b = a = b
 let compare = Stdlib.compare

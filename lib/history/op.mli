@@ -21,9 +21,41 @@ val pp : Format.formatter -> t -> unit
 (** Prints [R(x3)=17] / [W(x3):=18]. *)
 
 val to_string : t -> string
+(** The [pp] text, built without a formatter. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends [to_string op]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without building the string. *)
+
+exception Malformed
+
+type cursor = { mutable pos : int }
+(** A read position in a string. *)
+
+val scan : string -> cursor -> int -> t
+(** [scan s c j] reads the op starting at [c.pos] and moves [c.pos]
+    just past it, never beyond [j].  The op grammar:
+
+    {v
+    op  ::= "R(x" int ")=" int  |  "W(x" int "):=" int
+    int ::= [+-]? digit (digit | '_')*
+    v}
+
+    where an [int] must fit an OCaml [int] (underscores are skipped) —
+    the integer syntax of [Scanf]'s ["%d"].  Integers are read greedily,
+    so whatever follows the op is left for the caller.  No allocation
+    beyond the result (literals over 18 digits aside).
+    @raise Malformed if no op starts at [c.pos]. *)
+
+val parse : string -> int -> int -> t
+(** [parse s i j] is the op spelled by exactly [s.[i..j)].
+    @raise Malformed on anything else, including a trailing suffix
+    (["R(x1)=5junk"], or two ops glued by a missing space). *)
 
 val of_string : string -> t option
-(** Parses the [pp] format back. *)
+(** [parse] over a whole string: parses the [pp] format back. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -3,7 +3,9 @@
 # text and binary corpora that load identically, and `mtc check -j N`
 # must print byte-identical output (stats line, verdict, counterexample)
 # for every N at every level (strong and weak) on clean and faulty
-# histories in both formats.  Also runs
+# histories in both formats; text ingest rejects a glued op token with
+# its line number and reads a CRLF / commented respelling of a history
+# exactly like the original.  Also runs
 # the service smoke with MTC_JOBS set, exercising multi-shard sessions
 # end to end.  Wired into `dune build @check` from the root dune file.
 set -u
@@ -59,6 +61,31 @@ for f in "$TMP/clean.bin" "$TMP/faulty.hist" "$TMP/stale.hist"; do
         || fail "$(basename "$f") $level: output differs at -j $j (diff $TMP/j1.out $TMP/j$j.out)"
     done
   done
+done
+
+# -- text ingest: a glued op token (a missing space) is an error naming
+# its line at every -j, never a silently shorter transaction
+printf 'mtc-history v1\nkeys 3\nsessions 1\ntxn 1 1 C 1 1 R(x0)=0\ntxn 2 1 C 2 2 R(x1)=0W(x2):=3\n' \
+  > "$TMP/glued.hist"
+for j in 1 2; do
+  "$MTC" check "$TMP/glued.hist" -l ser -j "$j" > /dev/null 2> "$TMP/glued.err"
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "glued op token: exit $rc at -j $j, want 2"
+  grep -q 'line 5: bad operation "R(x1)=0W(x2):=3"' "$TMP/glued.err" \
+    || fail "glued op token: the error must name line 5 at -j $j ($(cat "$TMP/glued.err"))"
+done
+
+# -- the same history respelled (CRLF line ends, a comment line and a
+# blank line between txn lines) must check exactly like the original
+awk '{ printf "%s\r\n", $0 } NR == 40 { printf "# a comment\r\n\r\n" }' \
+  "$TMP/faulty.hist" > "$TMP/respelled.hist"
+for level in si ser sser; do
+  check_out "$TMP/faulty.hist" "$level" 1 > "$TMP/orig.out"; rc1=$?
+  check_out "$TMP/respelled.hist" "$level" 1 > "$TMP/resp.out"; rc=$?
+  [ "$rc" -eq "$rc1" ] \
+    || fail "respelled faulty.hist $level: exit $rc vs $rc1 for the original"
+  cmp -s "$TMP/orig.out" "$TMP/resp.out" \
+    || fail "respelled faulty.hist $level: output differs (diff $TMP/orig.out $TMP/resp.out)"
 done
 
 # -- explicit --format must agree with sniffing, and reject mismatches

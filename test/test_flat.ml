@@ -256,6 +256,21 @@ let test_direct_build_alloc_halved () =
       "direct build allocated %.0f bytes, digraph %.0f — expected <= half"
       direct digraph
 
+(* Tied commit keys: the sweep keeps the sort's permutation of the ties
+   (its identity shortcut applies only to strictly increasing keys), so
+   the helper chain matches the reference edge for edge. *)
+let test_sweep_tied_commits () =
+  let h =
+    History.make ~num_keys:2 ~num_sessions:4
+      (List.init 40 (fun i ->
+           let id = i + 1 in
+           Txn.make ~id ~session:(1 + (i mod 4)) ~start_ts:(id / 3)
+             ~commit_ts:(id / 3)
+             [ Op.Read (i mod 2, 0) ]))
+  in
+  checkb "sweep edges match the reference" true
+    (direct_edges Deps.Rt_sweep h = reference_edges Deps.Rt_sweep h)
+
 let suite =
   [
     ("flat map: basic", `Quick, test_map_basic);
@@ -267,6 +282,8 @@ let suite =
     ("writers: unpackable spill", `Quick, test_writers_spill);
     ("int_vec: push/get/data", `Quick, test_int_vec);
     qtest prop_edge_multisets_equal;
+    ("deps: sweep keeps the order of tied commits", `Quick,
+     test_sweep_tied_commits);
     qtest prop_check_outcomes_equal;
     ("deps: direct build allocates <= half of digraph", `Quick,
      test_direct_build_alloc_halved);

@@ -24,7 +24,31 @@ let test_op_string_roundtrip () =
 
 let test_op_parse_garbage () =
   checkb "garbage" true (Op.of_string "hello" = None);
-  checkb "partial" true (Op.of_string "R(x" = None)
+  checkb "partial" true (Op.of_string "R(x" = None);
+  checkb "trailing junk" true (Op.of_string "R(x1)=5junk" = None);
+  checkb "glued ops" true (Op.of_string "R(x1)=5W(x2):=3" = None);
+  checkb "trailing space" true (Op.of_string "W(x1):=5 " = None);
+  checkb "trailing paren" true (Op.of_string "W(x1):=5)" = None);
+  checkb "empty" true (Op.of_string "" = None)
+
+(* The integer syntax inside ops: optional sign, underscores after the
+   first digit, anything that fits an int. *)
+let test_op_parse_ints () =
+  let parses s op = checkb s true (Op.of_string s = Some op) in
+  parses "R(x+1)=-0" (Op.Read (1, 0));
+  parses "W(x1_0):=2_" (Op.Write (10, 2));
+  parses "R(x0)=-4611686018427387904" (Op.Read (0, min_int));
+  parses "W(x0):=4_611_686_018_427_387_903" (Op.Write (0, max_int));
+  checkb "overflow" true (Op.of_string "R(x0)=4611686018427387904" = None);
+  checkb "hex" true (Op.of_string "R(x0x1)=0" = None);
+  checkb "leading underscore" true (Op.of_string "R(x_1)=0" = None)
+
+(* A glued token is reported with its line, not silently truncated. *)
+let test_codec_glued_op () =
+  checkb "glued op rejected" true
+    (Codec.of_string
+       "mtc-history v1\nkeys 3\nsessions 1\ntxn 1 1 C 1 1 R(x1)=0W(x2):=3\n"
+    = Error "line 4: bad operation \"R(x1)=0W(x2):=3\"")
 
 (* --- Txn --- *)
 
@@ -398,6 +422,8 @@ let suite =
     ("op accessors", `Quick, test_op_accessors);
     ("op string roundtrip", `Quick, test_op_string_roundtrip);
     ("op parse garbage", `Quick, test_op_parse_garbage);
+    ("op parse integers", `Quick, test_op_parse_ints);
+    ("codec glued op rejected", `Quick, test_codec_glued_op);
     ("txn external reads", `Quick, test_txn_external_reads);
     ("txn read-after-write not external", `Quick, test_txn_read_after_write_not_external);
     ("txn first read wins", `Quick, test_txn_first_read_wins);

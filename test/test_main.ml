@@ -5,6 +5,7 @@ let () =
       ("pool", Test_pool.suite);
       ("graph", Test_graph.suite);
       ("history", Test_history.suite);
+      ("codec", Test_codec.suite);
       ("core", Test_core.suite);
       ("flat", Test_flat.suite);
       ("weak", Test_weak.suite);
