@@ -6,7 +6,8 @@
 
     {!pack_pair} folds a [(key, value)] pair of a history into one int
     key, so the unique-values screen, the dependency index and the
-    streaming checker all probe this map instead of a tuple-keyed table.
+    streaming checker all probe this map instead of a tuple-keyed table
+    ({!Pair_map} wraps the packing and its spill).
     [Flat_index] includes this module unchanged. *)
 
 type t

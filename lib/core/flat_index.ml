@@ -1,7 +1,8 @@
 (* The raw open-addressing int map and the (key, value) packing live in
-   [Int_map] (lib/common), so the history layer's unique-values screen
-   shares them; the writer tiers, cons-chain lists and pair tables below
-   layer the checker's lookups on top. *)
+   [Int_map] (lib/common), and the spill-backed pair map in [Pair_map],
+   so the history layer's unique-values screen shares them; the writer
+   tiers, cons-chain lists and pair tables below layer the checker's
+   lookups on top. *)
 include Int_map
 
 type map = t
@@ -22,97 +23,77 @@ module Writers = struct
     | Aborted of Txn.id
     | Nobody
 
-  type t = {
-    num_keys : int;
-    final : map;
-    intermediate : map;
-    aborted : map;
-    spill : (int * Op.key * Op.value, Txn.id) Hashtbl.t;
-        (** keyed by (tier, key, value); tier 0/1/2 = final/interm/aborted *)
-  }
+  (* One pair map per tier; a pair's packing (or its spill) is
+     {!Pair_map}'s decision. *)
+  type t = { final : Pair_map.t; intermediate : Pair_map.t; aborted : Pair_map.t }
 
   let create ~num_keys ~expected =
     {
-      num_keys;
-      final = create ~capacity:(2 * expected) ();
-      intermediate = create ();
-      aborted = create ();
-      spill = Hashtbl.create 8;
+      final = Pair_map.create ~capacity:(2 * expected) ~num_keys ();
+      intermediate = Pair_map.create ~num_keys ();
+      aborted = Pair_map.create ~num_keys ();
     }
 
-  let pack t k v = pack_pair ~num_keys:t.num_keys k v
-
-  let set_in t tier tbl k v id =
-    let p = pack t k v in
-    if p >= 0 then set tbl p id else Hashtbl.replace t.spill (tier, k, v) id
-
-  let set_final t k v id = set_in t 0 t.final k v id
-  let set_intermediate t k v id = set_in t 1 t.intermediate k v id
-  let set_aborted t k v id = set_in t 2 t.aborted k v id
+  let set_final t k v id = Pair_map.set t.final k v id
+  let set_intermediate t k v id = Pair_map.set t.intermediate k v id
+  let set_aborted t k v id = Pair_map.set t.aborted k v id
 
   let resolve t k v =
-    let p = pack t k v in
-    if p >= 0 then begin
-      let id = get t.final p in
-      if id >= 0 then Final id
-      else
-        let id = get t.intermediate p in
-        if id >= 0 then Intermediate id
-        else
-          let id = get t.aborted p in
-          if id >= 0 then Aborted id else Nobody
-    end
+    let id = Pair_map.get t.final k v in
+    if id >= 0 then Final id
     else
-      match Hashtbl.find_opt t.spill (0, k, v) with
-      | Some id -> Final id
-      | None -> (
-          match Hashtbl.find_opt t.spill (1, k, v) with
-          | Some id -> Intermediate id
-          | None -> (
-              match Hashtbl.find_opt t.spill (2, k, v) with
-              | Some id -> Aborted id
-              | None -> Nobody))
+      let id = Pair_map.get t.intermediate k v in
+      if id >= 0 then Intermediate id
+      else
+        let id = Pair_map.get t.aborted k v in
+        if id >= 0 then Aborted id else Nobody
 
   let keep t pred =
     {
-      num_keys = t.num_keys;
-      final = filtered t.final pred;
-      intermediate = filtered t.intermediate pred;
-      aborted = filtered t.aborted pred;
-      spill = Hashtbl.copy t.spill;  (* unpackable pairs are never pruned *)
+      final = Pair_map.keep t.final pred;
+      intermediate = Pair_map.keep t.intermediate pred;
+      aborted = Pair_map.keep t.aborted pred;
     }
 
-  let iter_final t f =
-    iter t.final (fun _ id -> f id);
-    Hashtbl.iter (fun (tier, _, _) id -> if tier = 0 then f id) t.spill
+  let iter_final t f = Pair_map.iter t.final f
 
   let words t =
-    2 + words t.final + words t.intermediate + words t.aborted
-    + (8 * Hashtbl.length t.spill)
+    2 + Pair_map.words t.final + Pair_map.words t.intermediate
+    + Pair_map.words t.aborted
+
+  (* The three packed maps, then the spilled pairs as (tier, key, value,
+     id) with tier 0/1/2 = final/intermediate/aborted. *)
+  let tiers t = [ t.final; t.intermediate; t.aborted ]
 
   let encode buf t =
-    Binio_core.add_uvarint buf t.num_keys;
-    encode_map buf t.final;
-    encode_map buf t.intermediate;
-    encode_map buf t.aborted;
-    Binio_core.add_uvarint buf (Hashtbl.length t.spill);
-    Hashtbl.iter
-      (fun (tier, k, v) id ->
-        Binio_core.add_uvarint buf tier;
-        Binio_core.add_varint buf k;
-        Binio_core.add_varint buf v;
-        Binio_core.add_varint buf id)
-      t.spill
+    Binio_core.add_uvarint buf t.final.num_keys;
+    List.iter (fun (m : Pair_map.t) -> encode_map buf m.packed) (tiers t);
+    Binio_core.add_uvarint buf
+      (List.fold_left
+         (fun n (m : Pair_map.t) -> n + Hashtbl.length m.spill)
+         0 (tiers t));
+    List.iteri
+      (fun tier (m : Pair_map.t) ->
+        Hashtbl.iter
+          (fun (k, v) id ->
+            Binio_core.add_uvarint buf tier;
+            Binio_core.add_varint buf k;
+            Binio_core.add_varint buf v;
+            Binio_core.add_varint buf id)
+          m.spill)
+      (tiers t)
 
   let decode r =
     let num_keys = Binio_core.read_uvarint r in
-    let final = decode_map r in
-    let intermediate = decode_map r in
-    let aborted = decode_map r in
+    let tier () =
+      { Pair_map.num_keys; packed = decode_map r; spill = Hashtbl.create 8 }
+    in
+    let final = tier () in
+    let intermediate = tier () in
+    let aborted = tier () in
     let n = Binio_core.read_uvarint r in
     if n < 0 || n > Binio_core.remaining r then
       Binio_core.fail "writers spill count %d overruns input" n;
-    let spill = Hashtbl.create (Stdlib.max 8 n) in
     for _ = 1 to n do
       let tier = Binio_core.read_uvarint r in
       if tier < 0 || tier > 2 then
@@ -120,9 +101,12 @@ module Writers = struct
       let k = Binio_core.read_varint r in
       let v = Binio_core.read_varint r in
       let id = Binio_core.read_varint r in
-      Hashtbl.replace spill (tier, k, v) id
+      let m =
+        match tier with 0 -> final | 1 -> intermediate | _ -> aborted
+      in
+      Hashtbl.replace m.spill (k, v) id
     done;
-    { num_keys; final; intermediate; aborted; spill }
+    { final; intermediate; aborted }
 end
 
 (* --- (key, value) -> int list, as a flat cons pool --- *)

@@ -7,11 +7,11 @@
     boxed a [(key * value)] block per insert and hashed it per probe.
 
     The {!Writers} submodule layers the paper's writer-resolution tables
-    (final / intermediate / aborted, Section IV-A) on top, packing each
-    [(key, value)] pair into a single int — sound because mini-transaction
-    histories assign unique values, so the packing is injective whenever
-    it cannot overflow, and the rare unpackable pair falls back to a
-    tuple-keyed spill table. *)
+    (final / intermediate / aborted, Section IV-A) on top, one {!Pair_map}
+    per tier: each [(key, value)] pair packs into a single int — sound
+    because mini-transaction histories assign unique values, so the
+    packing is injective whenever it cannot overflow — and the rare
+    unpackable pair falls back to a tuple-keyed spill table. *)
 
 include module type of struct
   include Int_map

@@ -34,15 +34,13 @@ let to_string h = Buffer.contents (text_buffer h)
 
 (* --- text parsing ---
 
-   One cursor pass over the input.  A canonical txn line — "txn", five
-   plain decimal fields and the ops, single spaces, ending in '\n' — is
-   read in place as the cursor meets it: integers are summed where they
-   lie and the ops go into one reused buffer, from which each
-   transaction's op array is cut.  Any other line is located by its
-   '\n', trimmed with [String.trim]'s notion of whitespace and read field
-   by field with the full syntax ([int_of_string_opt] for the fields).
-   {!Op.scan} is the one op grammar of both paths.  Nothing is split
-   into lists of lines or tokens.
+   One cursor pass over the input.  Each line is located by its '\n',
+   trimmed with [String.trim]'s notion of whitespace and read field by
+   field in place: a plain decimal field is summed where it lies (other
+   integer spellings go through [int_of_string_opt]), each op field goes
+   through {!Op.parse}, the one op grammar, and the line's ops collect in
+   one reused buffer from which each transaction's op array is cut.
+   Nothing is split into lists of lines or tokens.
 
    Parsing is total: any malformed input — truncated op, unknown status,
    duplicate or out-of-order transaction id, key out of range — yields
@@ -85,13 +83,28 @@ let span_is s i j lit =
   done;
   !k = j - i
 
-(* A header or txn field off the fast path; a non-integer is "line
-   [ln]: bad [what]". *)
+(* A header or txn field [s.[i..j)]; a non-integer is "line [ln]: bad
+   [what]".  A plain decimal — an optional '-' and 1 to 18 digits, on
+   which [int_of_string_opt] returns exactly this value — is read in
+   place. *)
 let int_field ln what s i j =
-  let tok = String.sub s i (j - i) in
-  match int_of_string_opt tok with
-  | Some n -> n
-  | None -> faill ln "bad %s %S" what tok
+  let d = if i < j && String.unsafe_get s i = '-' then i + 1 else i in
+  let k = ref d and acc = ref 0 in
+  while
+    !k < j
+    &&
+    let ch = String.unsafe_get s !k in
+    ch >= '0' && ch <= '9'
+  do
+    acc := (!acc * 10) + (Char.code (String.unsafe_get s !k) - 48);
+    incr k
+  done;
+  if !k = j && j > d && j - d <= 18 then if d > i then - !acc else !acc
+  else
+    let tok = String.sub s i (j - i) in
+    match int_of_string_opt tok with
+    | Some n -> n
+    | None -> faill ln "bad %s %S" what tok
 
 (* A ["keys <n>"] / ["sessions <n>"] header line [s.[a..b)]: exactly
    two space-separated fields, the first being [name]. *)
@@ -109,34 +122,6 @@ let magic = "mtc-history v1"
 
 (* Header progress of the pass. *)
 type stage = Want_magic | Want_keys | Want_sessions | Txns
-
-exception Slow
-
-(* A plain decimal field at [c.pos] — an optional '-' and 1 to 18
-   digits — for the canonical-line fast path; [c.pos] moves past it.
-   On such a token [int_of_string_opt] returns exactly this value. *)
-let plain_int s c n =
-  let i = c.Op.pos in
-  let d = if i < n && String.unsafe_get s i = '-' then i + 1 else i in
-  let k = ref d and acc = ref 0 in
-  while
-    !k < n
-    &&
-    let ch = String.unsafe_get s !k in
-    ch >= '0' && ch <= '9'
-  do
-    acc := (!acc * 10) + (Char.code (String.unsafe_get s !k) - 48);
-    incr k
-  done;
-  if !k = d || !k - d > 18 then raise_notrace Slow;
-  c.Op.pos <- !k;
-  if d > i then - !acc else !acc
-
-(* The single space that ends a fast-path field. *)
-let space s c n =
-  let i = c.Op.pos in
-  if i < n && String.unsafe_get s i = ' ' then c.Op.pos <- i + 1
-  else raise_notrace Slow
 
 let of_string s = Obs.Trace.with_span sp_parse @@ fun () ->
   let n = String.length s in
@@ -196,54 +181,9 @@ let of_string s = Obs.Trace.with_span sp_parse @@ fun () ->
     incr count;
     !txns.(!count) <- { Txn.id; session; ops; status; start_ts; commit_ts }
   in
-  let cur = { Op.pos = 0 } in
-  (* Fast path: the canonical line "txn <id> <session> <C|A> <start>
-     <commit>( <op>)*" ending in '\n' or the input's end, its five fields
-     plain decimals.  Such a line is its own trimmed form and its fields
-     are exactly its space-split tokens, so reading it in place gives
-     what the general path would.  Returns the next line's first byte;
-     raises [Slow] on anything else, and the general path re-reads the
-     line from its start. *)
-  let fast_line ln p =
-    if
-      p + 4 > n
-      || String.unsafe_get s p <> 't'
-      || String.unsafe_get s (p + 1) <> 'x'
-      || String.unsafe_get s (p + 2) <> 'n'
-      || String.unsafe_get s (p + 3) <> ' '
-    then raise_notrace Slow;
-    nops := 0;
-    cur.pos <- p + 4;
-    let id = plain_int s cur n in
-    space s cur n;
-    let session = plain_int s cur n in
-    space s cur n;
-    let q = cur.pos in
-    let status =
-      if q + 1 >= n || String.unsafe_get s (q + 1) <> ' ' then
-        raise_notrace Slow
-      else
-        match String.unsafe_get s q with
-        | 'C' -> Txn.Committed
-        | 'A' -> Txn.Aborted
-        | _ -> raise_notrace Slow
-    in
-    cur.pos <- q + 2;
-    let start_ts = plain_int s cur n in
-    space s cur n;
-    let commit_ts = plain_int s cur n in
-    while cur.pos < n && String.unsafe_get s cur.pos <> '\n' do
-      space s cur n;
-      match Op.scan s cur n with
-      | op -> push_op op
-      | exception Op.Malformed -> raise_notrace Slow
-    done;
-    add_txn ln id session status start_ts commit_ts;
-    cur.pos + 1
-  in
-  (* General path: one trimmed txn line [s.[a..b)] — the six fixed
-     fields, then one op per remaining space-separated field (doubled
-     spaces make empty ops). *)
+  (* One trimmed txn line [s.[a..b)]: the six fixed fields, then one op
+     per remaining space-separated field (doubled spaces make empty
+     ops). *)
   let txn_line ln a b =
     let e0 = field_end s a b in
     if e0 = b || not (span_is s a e0 "txn") then unparseable ln s a b;
@@ -298,25 +238,19 @@ let of_string s = Obs.Trace.with_span sp_parse @@ fun () ->
   try
     let start = ref 0 and ln = ref 1 in
     while !start <= n do
-      let next =
-        if !stage = Txns then try fast_line !ln !start with Slow -> -1 else -1
-      in
-      if next >= 0 then start := next
-      else begin
-        let eol = ref !start in
-        while !eol < n && String.unsafe_get s !eol <> '\n' do
-          incr eol
-        done;
-        let a = ref !start and b = ref !eol in
-        while !a < !b && is_space (String.unsafe_get s !a) do
-          incr a
-        done;
-        while !b > !a && is_space (String.unsafe_get s (!b - 1)) do
-          decr b
-        done;
-        if !a < !b && s.[!a] <> '#' then line !ln !a !b;
-        start := !eol + 1
-      end;
+      let eol = ref !start in
+      while !eol < n && String.unsafe_get s !eol <> '\n' do
+        incr eol
+      done;
+      let a = ref !start and b = ref !eol in
+      while !a < !b && is_space (String.unsafe_get s !a) do
+        incr a
+      done;
+      while !b > !a && is_space (String.unsafe_get s (!b - 1)) do
+        decr b
+      done;
+      if !a < !b && s.[!a] <> '#' then line !ln !a !b;
+      start := !eol + 1;
       incr ln
     done;
     match !stage with

@@ -91,21 +91,17 @@ let rt_before h t1 t2 =
    so a pool slice screens its range of stripes in one pass over the
    history; each slice reports its first duplicate's (txn position, op
    index) and the global minimum reproduces the sequential
-   first-in-scan-order error.  Pairs live packed in an [Int_map] from
-   (key, value) to the writer's id, with a tuple-keyed spill for the
-   rare unpackable pair (a negative or huge value). *)
+   first-in-scan-order error.  A [Pair_map] from (key, value) to the
+   writer's id holds the slice's writes; a counting pass sizes it, since
+   growing it by doubling costs time and a transient copy. *)
 let uv_stripes = 8
 
 let unique_values ?pool h =
   let num_keys = h.num_keys and n = Array.length h.txns in
   let results =
     Pool.map_slices pool ~n:uv_stripes (fun lo hi ->
-        let seen =
-          Int_map.create ~capacity:(4 * n * (hi - lo) / uv_stripes) ()
-        in
-        let spill = Hashtbl.create 8 in
-        let exception Dup of int * int * string in
-        try
+        (* [f ti oi id k v] on every write to a key of the slice *)
+        let iter_writes f =
           for ti = 0 to n - 1 do
             let t = h.txns.(ti) in
             let ops = t.Txn.ops in
@@ -114,31 +110,27 @@ let unique_values ?pool h =
               | Op.Write (k, v) ->
                   (* keys of a history are >= 0: this is k mod 8 *)
                   let stripe = k land (uv_stripes - 1) in
-                  if stripe >= lo && stripe < hi then begin
-                    let p = Int_map.pack_pair ~num_keys k v in
-                    let other =
-                      if p >= 0 then Int_map.get seen p
-                      else
-                        Option.value ~default:(-1)
-                          (Hashtbl.find_opt spill (k, v))
-                    in
-                    if other < 0 then begin
-                      if p >= 0 then Int_map.set seen p t.id
-                      else Hashtbl.replace spill (k, v) t.id
-                    end
-                    else if other <> t.id then
-                      raise
-                        (Dup
-                           ( ti,
-                             oi,
-                             Printf.sprintf
-                               "writes of value %d to key %d by both T%d and \
-                                T%d"
-                               v k other t.id ))
-                  end
+                  if stripe >= lo && stripe < hi then f ti oi t.id k v
               | Op.Read _ -> ()
             done
-          done;
+          done
+        in
+        let writes = ref 0 in
+        iter_writes (fun _ _ _ _ _ -> incr writes);
+        let seen = Pair_map.create ~capacity:(2 * !writes) ~num_keys () in
+        let exception Dup of int * int * string in
+        try
+          iter_writes (fun ti oi id k v ->
+              let other = Pair_map.get seen k v in
+              if other < 0 then Pair_map.set seen k v id
+              else if other <> id then
+                raise
+                  (Dup
+                     ( ti,
+                       oi,
+                       Printf.sprintf
+                         "writes of value %d to key %d by both T%d and T%d" v
+                         k other id )));
           None
         with Dup (ti, oi, msg) -> Some (ti, oi, msg))
   in

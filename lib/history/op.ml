@@ -12,28 +12,20 @@ let pp ppf = function
   | Read (k, v) -> Format.fprintf ppf "R(x%d)=%d" k v
   | Write (k, v) -> Format.fprintf ppf "W(x%d):=%d" k v
 
-(* Decimal digits of [n], most significant first, exactly as
-   [string_of_int].  Digits are taken from the non-positive magnitude so
-   [min_int] needs no special case; one division per digit. *)
-let pow10 =
-  let a = Array.make 19 1 in
-  for e = 1 to 18 do
-    a.(e) <- 10 * a.(e - 1)
-  done;
-  a
+(* [string_of_int n] appended digit by digit, from the non-positive
+   magnitude so [min_int] needs no special case: [string_of_int] goes
+   through a C [printf] per call, which more than doubled the
+   writer's time. *)
+let rec add_neg_digits buf m =
+  if m <= -10 then add_neg_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
 
 let add_int buf n =
-  let m = ref (if n < 0 then n else -n) in
-  if n < 0 then Buffer.add_char buf '-';
-  let e = ref 0 in
-  while !e < 18 && !m <= - pow10.(!e + 1) do
-    incr e
-  done;
-  for e = !e downto 0 do
-    let q = !m / pow10.(e) in
-    Buffer.add_char buf (Char.unsafe_chr (48 - q));
-    m := !m - (q * pow10.(e))
-  done
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
 
 let add_to_buffer buf = function
   | Read (k, v) ->
@@ -66,67 +58,65 @@ let to_string op =
 
 exception Malformed
 
-type cursor = { mutable pos : int }
-
 let is_digit c = c >= '0' && c <= '9'
 
-(* The [int] at [c.pos] (input ends at [j]); [c.pos] moves past it.  Up
-   to 18 digits cannot overflow and are summed as they are read; longer
-   literals go through [int_of_string_opt], which applies OCaml's own
-   range check (and skips underscores exactly as [Scanf] does). *)
-let scan_int s c j =
-  let i = c.pos in
+(* End of the [int] that starts at [i] (input ends at [j]): integers are
+   read greedily, so whatever follows is left for the caller. *)
+let int_end s i j =
   let d = if i < j && (s.[i] = '-' || s.[i] = '+') then i + 1 else i in
   if d >= j || not (is_digit s.[d]) then raise Malformed;
-  let k = ref d and acc = ref 0 and digits = ref 0 in
+  let k = ref d in
   while
     !k < j
     &&
     let ch = String.unsafe_get s !k in
     is_digit ch || ch = '_'
   do
-    let ch = String.unsafe_get s !k in
-    if ch <> '_' then begin
-      acc := (!acc * 10) + (Char.code ch - 48);
-      incr digits
-    end;
     incr k
   done;
-  c.pos <- !k;
-  if !digits <= 18 then if d > i && s.[i] = '-' then - !acc else !acc
+  !k
+
+(* Value of the [int] spelled by [s.[i..e)].  Up to 18 digits cannot
+   overflow and are summed in place; longer literals go through
+   [int_of_string_opt], which applies OCaml's own range check (and skips
+   underscores exactly as [Scanf] does). *)
+let int_value s i e =
+  let acc = ref 0 and digits = ref 0 in
+  for k = i to e - 1 do
+    let ch = String.unsafe_get s k in
+    if is_digit ch then begin
+      acc := (!acc * 10) + (Char.code ch - 48);
+      incr digits
+    end
+  done;
+  if !digits <= 18 then if s.[i] = '-' then - !acc else !acc
   else
-    match int_of_string_opt (String.sub s i (!k - i)) with
+    match int_of_string_opt (String.sub s i (e - i)) with
     | Some n -> n
     | None -> raise Malformed
 
-(* [lit] at [c.pos]; [c.pos] moves past it. *)
-let expect s c j lit =
-  let i = c.pos and n = String.length lit in
+(* Position just past [lit], which must start at [i]. *)
+let expect s i j lit =
+  let n = String.length lit in
   if i + n > j then raise Malformed;
   for k = 0 to n - 1 do
     if String.unsafe_get s (i + k) <> String.unsafe_get lit k then
       raise Malformed
   done;
-  c.pos <- i + n
+  i + n
 
-let scan s c j =
-  let i = c.pos in
+let parse s i j =
   if i >= j then raise Malformed;
   let write =
     match s.[i] with 'R' -> false | 'W' -> true | _ -> raise Malformed
   in
-  c.pos <- i + 1;
-  expect s c j "(x";
-  let k = scan_int s c j in
-  expect s c j (if write then "):=" else ")=");
-  let v = scan_int s c j in
+  let ki = expect s (i + 1) j "(x" in
+  let ke = int_end s ki j in
+  let vi = expect s ke j (if write then "):=" else ")=") in
+  let ve = int_end s vi j in
+  if ve <> j then raise Malformed;
+  let k = int_value s ki ke and v = int_value s vi ve in
   if write then Write (k, v) else Read (k, v)
-
-let parse s i j =
-  let c = { pos = i } in
-  let op = scan s c j in
-  if c.pos <> j then raise Malformed;
-  op
 
 let of_string s =
   match parse s 0 (String.length s) with

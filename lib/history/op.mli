@@ -31,12 +31,9 @@ val add_int : Buffer.t -> int -> unit
 
 exception Malformed
 
-type cursor = { mutable pos : int }
-(** A read position in a string. *)
-
-val scan : string -> cursor -> int -> t
-(** [scan s c j] reads the op starting at [c.pos] and moves [c.pos]
-    just past it, never beyond [j].  The op grammar:
+val parse : string -> int -> int -> t
+(** [parse s i j] is the op spelled by exactly [s.[i..j)].  The op
+    grammar:
 
     {v
     op  ::= "R(x" int ")=" int  |  "W(x" int "):=" int
@@ -44,13 +41,8 @@ val scan : string -> cursor -> int -> t
     v}
 
     where an [int] must fit an OCaml [int] (underscores are skipped) —
-    the integer syntax of [Scanf]'s ["%d"].  Integers are read greedily,
-    so whatever follows the op is left for the caller.  No allocation
-    beyond the result (literals over 18 digits aside).
-    @raise Malformed if no op starts at [c.pos]. *)
-
-val parse : string -> int -> int -> t
-(** [parse s i j] is the op spelled by exactly [s.[i..j)].
+    the integer syntax of [Scanf]'s ["%d"].  No allocation beyond the
+    result (literals over 18 digits aside).
     @raise Malformed on anything else, including a trailing suffix
     (["R(x1)=5junk"], or two ops glued by a missing space). *)
 

@@ -266,6 +266,12 @@ let test_parse_edge_inputs () =
       "mtc-history v1\nkeys 2\nsessions 1\ntxn 0x1 +1 C 1_0 -0 R(x+1)=0_0\n";
       "mtc-history v1\nkeys 2\nsessions 1\ntxn 1 1 C 1 1 R(x1_)=-0\n";
       "mtc-history v1\nkeys 2\nsessions 1\ntxn 1 1 C 99999999999999999999 1\n";
+      (* 19 digits just past the int range, which an in-place sum would
+         wrap *)
+      "mtc-history v1\nkeys 2\nsessions 1\ntxn 1 1 C 1 4611686018427387904\n";
+      "mtc-history v1\nkeys 2\nsessions 1\ntxn 1 1 C -4611686018427387905 1\n";
+      "mtc-history v1\nkeys 2\nsessions 1\ntxn 9999999999999999999 1 C 1 1\n";
+      "mtc-history v1\nkeys 4611686018427387904\nsessions 1\n";
       "mtc-history v1\nkeys 2\nsessions 1\ntxn 1 1 C -4611686018427387904 \
        4611686018427387903 W(x1):=-4611686018427387904 \
        R(x0)=4_611_686_018_427_387_903\n";

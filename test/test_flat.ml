@@ -93,6 +93,79 @@ let test_writers_spill () =
   checkb "packed entry next to spill" true
     (Flat_index.Writers.resolve w 3 42 = Flat_index.Writers.Final 11)
 
+(* Spilled pairs in every tier survive [keep] and a snapshot round trip,
+   and the encoding still reads back a layout whose spill entries come in
+   any tier order. *)
+let test_writers_spill_roundtrip () =
+  let module W = Flat_index.Writers in
+  let w = W.create ~num_keys:8 ~expected:4 in
+  W.set_final w 1 5 1;
+  W.set_final w 2 (-1) 2;
+  W.set_intermediate w 3 (-7) 3;
+  W.set_aborted w 4 max_int 4;
+  W.set_aborted w 9 5 5;
+  let probes = [ (1, 5); (2, -1); (3, -7); (4, max_int); (9, 5); (2, 5) ] in
+  let resolutions w = List.map (fun (k, v) -> W.resolve w k v) probes in
+  let finals w =
+    let ids = ref [] in
+    W.iter_final w (fun id -> ids := id :: !ids);
+    List.sort compare !ids
+  in
+  let roundtrip w =
+    let buf = Buffer.create 64 in
+    W.encode buf w;
+    W.decode (Binio_core.reader (Buffer.contents buf))
+  in
+  let expect = resolutions w in
+  checkb "decode resolves alike" true (resolutions (roundtrip w) = expect);
+  checkb "keep nothing keeps the spill" true
+    (resolutions (W.keep w (fun _ -> false))
+    = List.map
+        (fun (k, v) -> if k = 1 then W.Nobody else W.resolve w k v)
+        probes);
+  checkb "finals include the spill" true (finals w = [ 1; 2 ]);
+  checkb "finals after decode" true (finals (roundtrip w) = [ 1; 2 ]);
+  (* num_keys 8, three empty packed maps, then aborted before final. *)
+  let buf = Buffer.create 32 in
+  Binio_core.add_uvarint buf 8;
+  for _ = 1 to 3 do
+    Int_map.encode buf (Int_map.create ())
+  done;
+  Binio_core.add_uvarint buf 2;
+  List.iter
+    (fun (tier, k, v, id) ->
+      Binio_core.add_uvarint buf tier;
+      Binio_core.add_varint buf k;
+      Binio_core.add_varint buf v;
+      Binio_core.add_varint buf id)
+    [ (2, 4, -3, 6); (0, 2, -1, 2) ];
+  let w' = W.decode (Binio_core.reader (Buffer.contents buf)) in
+  checkb "mixed tier order decodes" true
+    (W.resolve w' 4 (-3) = W.Aborted 6 && W.resolve w' 2 (-1) = W.Final 2)
+
+(* --- Pair_map --- *)
+
+let test_pair_map () =
+  let m = Pair_map.create ~num_keys:10 () in
+  checki "absent" (-1) (Pair_map.get m 3 4);
+  Pair_map.set m 3 4 7;
+  Pair_map.set m 3 (-4) 8;
+  Pair_map.set m 12 4 9;
+  checki "packed" 7 (Pair_map.get m 3 4);
+  checki "negative value spills" 8 (Pair_map.get m 3 (-4));
+  checki "key out of range spills" 9 (Pair_map.get m 12 4);
+  checki "spilled pairs are distinct" (-1) (Pair_map.get m 4 (-3));
+  Pair_map.set m 3 (-4) 10;
+  checki "spill replaced" 10 (Pair_map.get m 3 (-4));
+  let kept = Pair_map.keep m (fun _ -> false) in
+  checki "keep prunes packed only" (-1) (Pair_map.get kept 3 4);
+  checki "keep keeps the spill" 10 (Pair_map.get kept 3 (-4));
+  checkb "negative value rejected" true
+    (try
+       Pair_map.set m 1 1 (-1);
+       false
+     with Invalid_argument _ -> true)
+
 (* --- Int_vec --- *)
 
 let test_int_vec () =
@@ -280,6 +353,9 @@ let suite =
     ("flat map: adversarial keys", `Quick, test_map_adversarial_keys);
     ("writers: tier shadowing", `Quick, test_writers_tiers);
     ("writers: unpackable spill", `Quick, test_writers_spill);
+    ("writers: spill survives keep and snapshots", `Quick,
+     test_writers_spill_roundtrip);
+    ("pair map: packed and spilled pairs", `Quick, test_pair_map);
     ("int_vec: push/get/data", `Quick, test_int_vec);
     qtest prop_edge_multisets_equal;
     ("deps: sweep keeps the order of tied commits", `Quick,
