@@ -38,18 +38,21 @@ let check ?(max_states = 2_000_000) (h : History.t) =
         String.concat "," (Array.to_list (Array.map string_of_int frontier))
       in
       let applicable (t : Txn.t) =
-        List.for_all (fun (key, v) -> store.(key) = v) (Txn.external_reads t)
+        let ok = ref true in
+        Txn.iter_external_reads t (fun _ key v ->
+            if store.(key) <> v then ok := false);
+        !ok
       in
+      (* Final writes name distinct keys, so each can be applied as it
+         is recorded for undo. *)
       let apply (t : Txn.t) =
-        let undo =
-          List.map (fun (key, v) -> (key, store.(key), v)) (Txn.final_writes t)
-        in
-        List.iter (fun (key, _, v) -> store.(key) <- v) undo;
-        undo
+        let undo = ref [] in
+        Txn.iter_final_writes t (fun _ key v ->
+            undo := (key, store.(key)) :: !undo;
+            store.(key) <- v);
+        !undo
       in
-      let unapply undo =
-        List.iter (fun (key, old, _) -> store.(key) <- old) undo
-      in
+      let unapply undo = List.iter (fun (key, old) -> store.(key) <- old) undo in
       let total = Array.fold_left (fun n s -> n + Array.length s) 0 sessions in
       let rec search scheduled =
         if scheduled = total then true

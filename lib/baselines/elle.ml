@@ -206,8 +206,7 @@ let check_registers ~level (h : History.t) =
       in
       Array.iteri
         (fun sv (s : Txn.t) ->
-          List.iter
-            (fun (k, v) ->
+          Txn.iter_external_reads s (fun _ k v ->
               match Index.writer_of idx k v with
               | Index.Final w when w <> s.id ->
                   let wv = Index.vertex idx w in
@@ -219,8 +218,7 @@ let check_registers ~level (h : History.t) =
                   end
               | Index.Final _ | Index.Intermediate _ | Index.Aborted _
               | Index.Nobody ->
-                  ())
-            (Txn.external_reads s))
+                  ()))
         idx.committed;
       Hashtbl.iter
         (fun (wv, k) rs ->

@@ -42,14 +42,11 @@ let build h =
       let error = ref None in
       Array.iteri
         (fun sv (s : Txn.t) ->
-          List.iter
-            (fun (k, _v) ->
+          Txn.iter_final_writes s (fun _ k _ ->
               match Hashtbl.find_opt writers_of_key k with
               | Some r -> r := sv :: !r
-              | None -> Hashtbl.replace writers_of_key k (ref [ sv ]))
-            (Txn.final_writes s);
-          List.iter
-            (fun (k, v) ->
+              | None -> Hashtbl.replace writers_of_key k (ref [ sv ]));
+          Txn.iter_external_reads s (fun _ k v ->
               match Index.writer_of idx k v with
               | Index.Final w when w <> s.id ->
                   let wv = Index.vertex idx w in
@@ -71,8 +68,7 @@ let build h =
                         (Printf.sprintf
                            "read of %d on x%d in T%d has no committed final \
                             writer"
-                           v k s.id))
-            (Txn.external_reads s))
+                           v k s.id)))
         idx.committed;
       match !error with
       | Some msg -> Error (Unresolved msg)

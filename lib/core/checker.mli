@@ -61,8 +61,8 @@ val check :
     shards by a fixed stripe count and every first-violation selection
     breaks ties by scan position.
 
-    [ts] (default [Ts.Ignore]) selects the timestamp mode (Vbox fast
-    path, ROADMAP item 2): [Verify] predicts writers from commit
+    [ts] (default [Ts.Ignore]) selects the timestamp mode (the fast
+    path of Vbox, arxiv 2503.05163): [Verify] predicts writers from commit
     timestamps, certifies every prediction against the value read and
     falls back per key on mismatch — same outcome and rendering as
     [Ignore], usually much faster; [Trust] skips certification and the

@@ -116,17 +116,6 @@ let unpack_dep =
   unpack_keyed (fun tag k ->
       match tag with 0 -> WR k | 1 -> WW k | _ -> RW k)
 
-let writes_key_ops ops k =
-  let n = Array.length ops in
-  let rec go j =
-    j < n
-    &&
-    match ops.(j) with
-    | Op.Write (k', _) -> k' = k || go (j + 1)
-    | Op.Read _ -> go (j + 1)
-  in
-  go 0
-
 let sp_deps = Obs.Trace.intern "infer/deps"
 let sp_so = Obs.Trace.intern "infer/deps/so"
 let sp_bucket = Obs.Trace.intern "infer/deps/bucket"
@@ -187,8 +176,7 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
     let sv = Int_vec.get st.r_sv r in
     let i = Int_vec.get st.r_op r in
     let s = idx.Index.committed.(sv) in
-    let ops = s.Txn.ops in
-    match ops.(i) with
+    match s.Txn.ops.(i) with
     | Op.Write _ -> assert false
     | Op.Read (k, v) -> (
         match fast with
@@ -209,7 +197,7 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
             let wv = Ts.slot_vertex tsi p in
             if wv <> sv then begin
               push wv sv (pack_wr k);
-              let writes = writes_key_ops ops k in
+              let writes = Txn.writes_key s k in
               if writes then push wv sv (pack_ww k);
               let g =
                 match slot_group.(p) with
@@ -227,7 +215,7 @@ let run_stripe ?fast (idx : Index.t) num_keys st =
             | Index.Final w when w <> s.id ->
                 let wv = Index.vertex idx w in
                 push wv sv (pack_wr k);
-                let writes = writes_key_ops ops k in
+                let writes = Txn.writes_key s k in
                 if writes then push wv sv (pack_ww k);
                 let gk = (wv * num_keys) + k in
                 let g =

@@ -10,17 +10,6 @@ let pp_instance ppf { key; writer; reader1 = r1, v1; reader2 = r2, v2 } =
     "DIVERGENCE on x%d: T%d and T%d both read from T%d and wrote %d / %d" key
     r1 r2 writer v1 v2
 
-(* Index of the last write to [k] in [ops], or -1. *)
-let last_write (ops : Op.t array) k =
-  let j = ref (Array.length ops - 1) in
-  while
-    !j >= 0
-    && match ops.(!j) with Op.Write (k', _) -> k' <> k | Op.Read _ -> true
-  do
-    decr j
-  done;
-  !j
-
 (* Key stripes are independent (a diverging pair lives entirely on one
    key), so a pool slice scans its range of stripes in one pass. *)
 let num_stripes = 8
@@ -44,7 +33,7 @@ let scan (idx : Index.t) ~lo ~hi ~all =
     let stripe = k land (num_stripes - 1) in
     if stripe >= lo && stripe < hi then begin
       let s = idx.committed.(!sv) in
-      let w = last_write s.Txn.ops k in
+      let w = Txn.final_write s k in
       if w >= 0 then begin
         let v_new = Op.value s.ops.(w) in
         let other = Flat_index.Pairs.first first_extender k v in

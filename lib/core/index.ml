@@ -14,51 +14,6 @@ let num_stripes = 8
 
 let stripe_of_key k = k mod num_stripes
 
-(* Finality of each write, one byte per op position, into the
-   caller-provided scratch [final] (length >= Array.length ops).
-   Mini-transactions (<= 4 ops) use a linear rescan; larger op arrays —
-   in practice only the initial transaction, whose one-write-per-key
-   array would make the rescan quadratic — get one backward pass with a
-   later-written-keys table. *)
-let rec no_later_write ops n k j =
-  j >= n
-  ||
-  match ops.(j) with
-  | Op.Write (k', _) when k' = k -> false
-  | Op.Write _ | Op.Read _ -> no_later_write ops n k (j + 1)
-
-let mark_finals ~final ops =
-  let n = Array.length ops in
-  if n <= 16 then
-    for i = 0 to n - 1 do
-      match ops.(i) with
-      | Op.Write (k, _) ->
-          Bytes.unsafe_set final i
-            (if no_later_write ops n k (i + 1) then '\001' else '\000')
-      | Op.Read _ -> Bytes.unsafe_set final i '\000'
-    done
-  else begin
-    let seen = Hashtbl.create (2 * n) in
-    for i = n - 1 downto 0 do
-      match ops.(i) with
-      | Op.Write (k, _) ->
-          if Hashtbl.mem seen k then Bytes.unsafe_set final i '\000'
-          else begin
-            Hashtbl.add seen k ();
-            Bytes.unsafe_set final i '\001'
-          end
-      | Op.Read _ -> Bytes.unsafe_set final i '\000'
-    done
-  end
-
-let final_scratch txns =
-  let m =
-    Array.fold_left
-      (fun m (t : Txn.t) -> Stdlib.max m (Array.length t.Txn.ops))
-      1 txns
-  in
-  Bytes.create m
-
 (* Finality of every committed op, flat across the whole history in op
    scan order (aborted transactions leave '\000' gaps).  Computed once
    per index and shared: readers recover per-txn offsets by keeping a
@@ -69,16 +24,11 @@ let compute_finals (h : History.t) =
     Array.fold_left (fun n (t : Txn.t) -> n + Array.length t.Txn.ops) 0 txns
   in
   let finals = Bytes.make (Stdlib.max 1 total) '\000' in
-  let final = final_scratch txns in
   let off = ref 0 in
   Array.iter
     (fun (t : Txn.t) ->
-      let n = Array.length t.Txn.ops in
-      if Txn.is_committed t then begin
-        mark_finals ~final t.Txn.ops;
-        Bytes.blit final 0 finals !off n
-      end;
-      off := !off + n)
+      if Txn.is_committed t then Txn.mark_finals t finals !off;
+      off := !off + Array.length t.Txn.ops)
     txns;
   finals
 
@@ -115,7 +65,7 @@ let register_stripe (h : History.t) ~finals w stripe =
                 (* An overwritten write whose value happens to equal
                    the final one is re-registered as intermediate; the
                    final tier shadows it in [resolve], matching the
-                   seed's [Txn.intermediate_writes] semantics. *)
+                   value semantics of [Txn.iter_intermediate_writes]. *)
                 Flat_index.Writers.set_intermediate w k v t.id
           | Op.Write _ | Op.Read _ -> ()
         done

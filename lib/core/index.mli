@@ -48,16 +48,6 @@ type writer = Flat_index.Writers.who =
   | Aborted of Txn.id
   | Nobody
 
-val mark_finals : final:Bytes.t -> Op.t array -> unit
-(** Finality of each write, one byte per op position ['\001'] / ['\000'],
-    into the caller-provided scratch (length >= the op count).  Linear
-    rescan for mini-transactions, one backward keyed pass for large op
-    arrays (the initial transaction) — shared by the registration and
-    timestamp-chain builders. *)
-
-val final_scratch : Txn.t array -> Bytes.t
-(** A scratch buffer sized for the largest op array of the batch. *)
-
 val finals : t -> Bytes.t
 (** Finality of every committed op, flat across the whole history in op
     scan order — index [base + i] where [base] is the running op count
@@ -65,7 +55,7 @@ val finals : t -> Bytes.t
     on first use and cached; shared by writer-table registration and the
     timestamp-chain builder ({!Ts.build}).  Same thread-safety
     discipline as lazy writer tables: first use from serial code or a
-    single owning task. *)
+    single owning task.  Decided per transaction by {!Txn.mark_finals}. *)
 
 val writer_of : t -> Op.key -> Op.value -> writer
 (** Who produced value [v] of object [x]?  [Final] writers are the only

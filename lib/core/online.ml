@@ -247,6 +247,14 @@ let alloc_helper t =
   Int_vec.push t.vertex_txn (-1);
   h
 
+let push_chain t k ~commit_ts ~writer ~value =
+  let n = Int_vec.length t.ch_commit in
+  Int_vec.push t.ch_commit commit_ts;
+  Int_vec.push t.ch_writer writer;
+  Int_vec.push t.ch_value value;
+  Int_vec.push t.ch_next (Flat_index.get t.chain_head k);
+  Flat_index.set t.chain_head k n
+
 let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
   let nk = Stdlib.max 0 num_keys in
   let t =
@@ -296,27 +304,16 @@ let create ?(skew = 0) ?(ts = Ts.Ignore) ?(gc = Gc_off) ~level ~num_keys () =
   in
   let init = History.init_txn ~num_keys in
   Flat_index.set t.seen_ids init.Txn.id 1;
-  let init_writes = Txn.final_writes init in
-  List.iter
-    (fun (k, v) ->
+  Txn.iter_final_writes init (fun _ k v ->
       Flat_index.Writers.set_final t.writers k v init.Txn.id;
       let p = Flat_index.pack_pair ~num_keys:nk k v in
-      if p >= 0 then t.fin_cur.(k) <- p)
-    init_writes;
+      if p >= 0 then t.fin_cur.(k) <- p;
+      (* The initial version of every key sits at the bottom of its
+         chain (commit_ts = min_int), so prediction is total over
+         in-range keys — exactly {!Ts.predict}'s invariant. *)
+      if ts <> Ts.Ignore then
+        push_chain t k ~commit_ts:min_int ~writer:init.Txn.id ~value:v);
   ignore (alloc_vertices t init);
-  if ts <> Ts.Ignore then
-    (* The initial version of every key sits at the bottom of its chain
-       (commit_ts = min_int), so prediction is total over in-range keys
-       — exactly {!Ts.predict}'s invariant. *)
-    List.iter
-      (fun (k, v) ->
-        let n = Int_vec.length t.ch_commit in
-        Int_vec.push t.ch_commit min_int;
-        Int_vec.push t.ch_writer init.Txn.id;
-        Int_vec.push t.ch_value v;
-        Int_vec.push t.ch_next (-1);
-        Flat_index.set t.chain_head k n)
-      init_writes;
   t
 
 let resolve t k v = Flat_index.Writers.resolve t.writers k v
@@ -400,14 +397,6 @@ let predict_node t k ~start_ts =
   in
   go (Flat_index.get t.chain_head k)
 
-let push_chain t k ~commit_ts ~writer ~value =
-  let n = Int_vec.length t.ch_commit in
-  Int_vec.push t.ch_commit commit_ts;
-  Int_vec.push t.ch_writer writer;
-  Int_vec.push t.ch_value value;
-  Int_vec.push t.ch_next (Flat_index.get t.chain_head k);
-  Flat_index.set t.chain_head k n
-
 (* Timestamp-assisted attribution of an external read.  [count]
    separates the certification statistics (tallied once, in the INT
    screen) from the edge-derivation re-resolution in [feed_committed],
@@ -439,17 +428,6 @@ let resolve_ts t ~count ~start_ts k v =
           if count then t.ts_mismatched <- t.ts_mismatched + 1;
           resolve t k v
         end
-
-(* Product encoding for SI over base vertices: dep edges fan out of both
-   the d- and r-vertex into the target's d-vertex; anti edges go
-   d-to-r (see Polysi for the correctness argument). *)
-let encoded_edges level (u, v, lab) =
-  match (level, lab) with
-  | Checker.SI, (Deps.SO | Deps.WR _ | Deps.WW _) ->
-      [ (u, v, lab); (u + 1, v, lab) ]
-  | Checker.SI, Deps.RW _ -> [ (u, v + 1, lab) ]
-  | Checker.SI, (Deps.RT | Deps.Rt_chain) -> []
-  | _, lab -> [ (u, v, lab) ]
 
 (* Map a rejected edge u -> v (attempted with label [lab]) and its PK
    path [v; ...; u] back to a transaction-level cycle.  Helper vertices
@@ -494,54 +472,49 @@ let poison t v =
   t.poisoned <- Some v;
   Violation v
 
-exception Cycle_found of Checker.violation
-
-let add_all_edges t base_u base_v lab =
-  List.iter
-    (fun (u, v, l) ->
-      match Grow.add_edge t.graph u v l with
-      | Ok () -> ()
-      | Error path ->
-          raise (Cycle_found (Checker.Cyclic (cycle_of_path t u l path))))
-    (encoded_edges t.level (base_u, base_v, lab))
+(* A screen or an edge rejected the transaction being fed. *)
+exception Rejected of Checker.violation
 
 let add_raw_edge t u v lab =
   match Grow.add_edge t.graph u v lab with
   | Ok () -> ()
   | Error path ->
-      raise (Cycle_found (Checker.Cyclic (cycle_of_path t u lab path)))
+      raise (Rejected (Checker.Cyclic (cycle_of_path t u lab path)))
+
+(* Product encoding for SI over base vertices: dep edges fan out of both
+   the d- and r-vertex into the target's d-vertex; anti edges go
+   d-to-r (see Polysi for the correctness argument). *)
+let add_all_edges t u v lab =
+  match (t.level, lab) with
+  | Checker.SI, (Deps.SO | Deps.WR _ | Deps.WW _) ->
+      add_raw_edge t u v lab;
+      add_raw_edge t (u + 1) v lab
+  | Checker.SI, Deps.RW _ -> add_raw_edge t u (v + 1) lab
+  | Checker.SI, (Deps.RT | Deps.Rt_chain) -> ()
+  | _, lab -> add_raw_edge t u v lab
 
 let divergence_screen t (txn : Txn.t) =
-  List.fold_left
-    (fun acc (k, v) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if Txn.writes_key txn k then begin
-            let other = Flat_index.Pairs.first t.extender k v in
-            if other >= 0 then
-              Some
-                (Checker.Diverged
-                   {
-                     Divergence.key = k;
-                     writer =
-                       (match resolve t k v with
-                       | Index.Final w -> w
-                       | Index.Intermediate w | Index.Aborted w -> w
-                       | Index.Nobody -> -1);
-                     reader1 = (other, Flat_index.Pairs.second t.extender k v);
-                     reader2 =
-                       ( txn.Txn.id,
-                         Option.value (Txn.write_of txn k) ~default:0 );
-                   })
-            else begin
-              Flat_index.Pairs.set t.extender k v txn.Txn.id
-                (Option.value (Txn.write_of txn k) ~default:0);
-              None
-            end
-          end
-          else None)
-    None (Txn.external_reads txn)
+  Txn.iter_external_reads txn (fun _ k v ->
+      let j = Txn.final_write txn k in
+      if j >= 0 then begin
+        let v_new = Op.value txn.Txn.ops.(j) in
+        let other = Flat_index.Pairs.first t.extender k v in
+        if other >= 0 then
+          raise
+            (Rejected
+               (Checker.Diverged
+                  {
+                    Divergence.key = k;
+                    writer =
+                      (match resolve t k v with
+                      | Index.Final w -> w
+                      | Index.Intermediate w | Index.Aborted w -> w
+                      | Index.Nobody -> -1);
+                    reader1 = (other, Flat_index.Pairs.second t.extender k v);
+                    reader2 = (txn.Txn.id, v_new);
+                  }))
+        else Flat_index.Pairs.set t.extender k v txn.Txn.id v_new
+      end)
 
 let feed_committed t (txn : Txn.t) =
   let vtx = alloc_vertices t txn in
@@ -553,8 +526,7 @@ let feed_committed t (txn : Txn.t) =
   add_all_edges t (Flat_index.get t.txn_vertex prev) vtx Deps.SO;
   Flat_index.set t.session_last txn.Txn.session txn.Txn.id;
   (* WR / WW / RW. *)
-  List.iter
-    (fun (k, v) ->
+  Txn.iter_external_reads txn (fun _ k v ->
       match resolve_ts t ~count:false ~start_ts:txn.Txn.start_ts k v with
       | Index.Final w when w <> txn.Txn.id ->
           let wv = Flat_index.get t.txn_vertex w in
@@ -572,31 +544,21 @@ let feed_committed t (txn : Txn.t) =
             Flat_index.Multi.push t.overwriters k v txn.Txn.id
           end;
           Flat_index.Multi.push t.readers k v txn.Txn.id
-      | _ -> () (* excluded by the screen *))
-    (Txn.external_reads txn);
-  (* Record writes for future resolution. *)
-  List.iter
-    (fun (k, v) ->
+      | _ -> () (* excluded by the screen *));
+  (* Record writes for future resolution.  Timestamp modes also extend
+     the per-key version chains — after the resolutions above, so a
+     transaction never predicts its own in-flight writes. *)
+  Txn.iter_final_writes txn (fun _ k v ->
       Flat_index.Writers.set_final t.writers k v txn.Txn.id;
-      window_install t k v)
-    (Txn.final_writes txn);
-  List.iter
-    (fun (k, v) ->
-      Flat_index.Writers.set_intermediate t.writers k v txn.Txn.id;
-      mark_dead_now t k v)
-    (Txn.intermediate_writes txn);
-  (* Timestamp modes: extend the per-key version chains.  After the
-     resolutions above, so a transaction never predicts its own
-     in-flight writes. *)
-  if t.ts_mode <> Ts.Ignore then begin
-    List.iter
-      (fun (k, v) ->
+      window_install t k v;
+      if t.ts_mode <> Ts.Ignore then
         push_chain t k ~commit_ts:txn.Txn.commit_ts ~writer:txn.Txn.id
-          ~value:v)
-      (Txn.final_writes txn);
-    if txn.Txn.commit_ts > t.last_commit then
-      t.last_commit <- txn.Txn.commit_ts
-  end;
+          ~value:v);
+  Txn.iter_intermediate_writes txn (fun _ k v ->
+      Flat_index.Writers.set_intermediate t.writers k v txn.Txn.id;
+      mark_dead_now t k v);
+  if t.ts_mode <> Ts.Ignore && txn.Txn.commit_ts > t.last_commit then
+    t.last_commit <- txn.Txn.commit_ts;
   (* SSER: real-time edges through the helper chain.  Commits arrive in
      commit_ts order (enforced by add_txn), so the commit vectors are
      already sorted — binary search directly, no rebuild. *)
@@ -865,36 +827,31 @@ let add_txn_inner t (txn : Txn.t) =
             txn.Txn.ops;
           Ok_so_far
       | Txn.Committed -> (
-          let dup =
-            List.find_opt
-              (fun (k, v) -> resolve t k v <> Index.Nobody)
-              (Txn.final_writes txn @ Txn.intermediate_writes txn)
+          let fresh _ k v =
+            match resolve t k v with
+            | Index.Nobody -> ()
+            | Index.Final _ | Index.Intermediate _ | Index.Aborted _ ->
+                raise
+                  (Rejected
+                     (Checker.Malformed
+                        (Printf.sprintf "duplicate write of %d to x%d by T%d" v
+                           k txn.Txn.id)))
           in
-          match dup with
-          | Some (k, v) ->
-              poison t
-                (Checker.Malformed
-                   (Printf.sprintf "duplicate write of %d to x%d by T%d" v k
-                      txn.Txn.id))
-          | None -> (
-              match
-                Int_check.check_txn_with
-                  ~resolve:(fun _ k v ->
-                    resolve_ts t ~count:true ~start_ts:txn.Txn.start_ts k v)
-                  txn
-              with
-              | viol :: _ -> poison t (Checker.Intra viol)
-              | [] -> (
-                  match
-                    if t.level = Checker.SI then divergence_screen t txn
-                    else None
-                  with
-                  | Some v -> poison t v
-                  | None -> (
-                      try
-                        feed_committed t txn;
-                        Ok_so_far
-                      with Cycle_found v -> poison t v)))))
+          try
+            Txn.iter_final_writes txn fresh;
+            Txn.iter_intermediate_writes txn fresh;
+            (match
+               Int_check.check_txn_with
+                 ~resolve:(fun _ k v ->
+                   resolve_ts t ~count:true ~start_ts:txn.Txn.start_ts k v)
+                 txn
+             with
+            | viol :: _ -> raise (Rejected (Checker.Intra viol))
+            | [] -> ());
+            if t.level = Checker.SI then divergence_screen t txn;
+            feed_committed t txn;
+            Ok_so_far
+          with Rejected v -> poison t v))
 
 let sp_feed = Obs.Trace.intern "online/feed"
 

@@ -1,6 +1,5 @@
-(** Timestamp-assisted version orders — the Vbox fast path (ROADMAP item
-    2; "Vbox: Efficient Black-Box Serializability Verification", arxiv
-    2503.05163).
+(** Timestamp-assisted version orders — the fast path of "Vbox: Efficient
+    Black-Box Serializability Verification" (arxiv 2503.05163).
 
     When the engine exposes begin/commit timestamps, the version order of
     every key is simply its committed final writes sorted by

@@ -97,21 +97,11 @@ let sort_slice a lo hi =
 
 let versions (idx : Index.t) (c : Deps.dep Csr.t) =
   let n = Index.num_vertices idx in
-  let final = Index.final_scratch idx.committed in
-  let count (t : Txn.t) f =
-    Index.mark_finals ~final t.ops;
-    Array.iteri
-      (fun i op ->
-        match op with
-        | Op.Write (k, _) when Bytes.get final i = '\001' -> f k
-        | Op.Write _ | Op.Read _ -> ())
-      t.ops
-  in
   let base = Array.make (n + 1) 0 in
   Array.iteri
     (fun v t ->
       let d = ref 0 in
-      count t (fun _ -> incr d);
+      Txn.iter_final_writes t (fun _ _ _ -> incr d);
       base.(v + 1) <- base.(v) + !d)
     idx.committed;
   let total = base.(n) in
@@ -119,7 +109,7 @@ let versions (idx : Index.t) (c : Deps.dep Csr.t) =
   Array.iteri
     (fun v t ->
       let i = ref base.(v) in
-      count t (fun k ->
+      Txn.iter_final_writes t (fun _ k _ ->
           key.(!i) <- k;
           writer.(!i) <- v;
           incr i);
@@ -146,10 +136,12 @@ let versions (idx : Index.t) (c : Deps.dep Csr.t) =
     let v = writer.(s) in
     if parent.(s) < 0 && v <> init then begin
       let t = Index.txn_of_vertex idx v in
-      let k, _ =
-        List.find (fun (k, _) -> parent.(slot vs v k) < 0) (Txn.final_writes t)
-      in
-      if Txn.reads_key t k then
+      let first = ref None and reads = ref false in
+      Txn.iter_final_writes t (fun _ x _ ->
+          if !first = None && parent.(slot vs v x) < 0 then first := Some x);
+      let k = Option.get !first in
+      Txn.iter_external_reads t (fun _ x _ -> if x = k then reads := true);
+      if !reads then
         malformed "write of x%d by T%d extends an unknown version" k t.id
       else malformed "blind write of x%d by T%d: not a mini-transaction" k t.id
     end

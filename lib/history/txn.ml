@@ -18,82 +18,106 @@ let make ~id ~session ?(status = Committed) ?start_ts ?commit_ts ops =
 
 let is_committed t = t.status = Committed
 
-(* Fold over ops keeping per-key first-external-read and last-write, in
-   first-occurrence order.  These three projections are what the paper's
-   [|-] judgements denote. *)
+(* The paper's [|-] judgements, decided on the op array itself: no
+   per-call hashtables or lists, so the stream feed and the batch
+   builders allocate nothing per transaction.  Mini-transactions (<= 4
+   ops) rescan the array; larger ones — in practice only the initial
+   transaction, one write per key, on which a rescan per op would be
+   quadratic — get one keyed pass instead. *)
 
-let external_reads t =
-  let written = Hashtbl.create 4 in
-  let seen = Hashtbl.create 4 in
-  let acc = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, _) -> Hashtbl.replace written k ()
-      | Op.Read (k, v) ->
-          if (not (Hashtbl.mem written k)) && not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
-            acc := (k, v) :: !acc
-          end)
-    t.ops;
-  List.rev !acc
+let small = 16
 
-(* [ops.(i)] reading [k] is external iff no earlier op touches [k]: an
-   earlier read of [k] is the external one, an earlier write makes every
-   later read internal. *)
-let rec touched_before ops k j i =
-  j < i && (Op.key ops.(j) = k || touched_before ops k (j + 1) i)
+(* Index of the last op in [ops.(lo .. hi-1)] on key [k], counting only
+   writes if [writes], or -1. *)
+let rec last_on ops k ~writes lo hi =
+  if hi <= lo then -1
+  else
+    match ops.(hi - 1) with
+    | Op.Write (k', _) when k' = k -> hi - 1
+    | Op.Read (k', _) when k' = k && not writes -> hi - 1
+    | Op.Write _ | Op.Read _ -> last_on ops k ~writes lo (hi - 1)
 
+(* Per-key first and last write positions of a large op array. *)
+type keyed = {
+  first : (Op.key, int) Hashtbl.t;
+  last : (Op.key, int) Hashtbl.t;
+}
+
+let keyed ops =
+  let n = Array.length ops in
+  if n <= small then None
+  else begin
+    let first = Hashtbl.create n and last = Hashtbl.create n in
+    Array.iteri
+      (fun i op ->
+        match op with
+        | Op.Write (k, _) ->
+            if not (Hashtbl.mem first k) then Hashtbl.add first k i;
+            Hashtbl.replace last k i
+        | Op.Read _ -> ())
+      ops;
+    Some { first; last }
+  end
+
+(* For a write to [k] at [i]: the index of [k]'s final write, and
+   whether [i] is [k]'s first write. *)
+let final_index ops keyed k i =
+  match keyed with
+  | None ->
+      let j = last_on ops k ~writes:true (i + 1) (Array.length ops) in
+      if j < 0 then i else j
+  | Some kt -> Hashtbl.find kt.last k
+
+let first_write ops keyed k i =
+  match keyed with
+  | None -> last_on ops k ~writes:true 0 i < 0
+  | Some kt -> Hashtbl.find kt.first k = i
+
+(* A read is external iff no earlier op touches its key: an earlier read
+   is the external one, an earlier write makes every later read
+   internal. *)
 let iter_external_reads t f =
   let ops = t.ops in
   for i = 0 to Array.length ops - 1 do
     match ops.(i) with
-    | Op.Read (k, v) -> if not (touched_before ops k 0 i) then f i k v
+    | Op.Read (k, v) -> if last_on ops k ~writes:false 0 i < 0 then f i k v
     | Op.Write _ -> ()
   done
 
-let final_writes t =
-  let last = Hashtbl.create 4 in
-  let order = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, v) ->
-          if not (Hashtbl.mem last k) then order := k :: !order;
-          Hashtbl.replace last k v
-      | Op.Read _ -> ())
-    t.ops;
-  List.rev_map (fun k -> (k, Hashtbl.find last k)) !order
+let iter_final_writes t f =
+  let ops = t.ops in
+  let kt = keyed ops in
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Op.Write (k, _) when first_write ops kt k i ->
+        let j = final_index ops kt k i in
+        f j k (Op.value ops.(j))
+    | Op.Write _ | Op.Read _ -> ()
+  done
 
-let intermediate_writes t =
-  let final = Hashtbl.create 4 in
-  List.iter (fun (k, v) -> Hashtbl.replace final k v) (final_writes t);
-  let acc = ref [] in
-  Array.iter
-    (fun op ->
-      match op with
-      | Op.Write (k, v) when Hashtbl.find final k <> v -> acc := (k, v) :: !acc
-      | Op.Write _ | Op.Read _ -> ())
-    t.ops;
-  List.rev !acc
+(* By value, not by position: a write whose value equals its key's final
+   value is the final version, not an intermediate one. *)
+let iter_intermediate_writes t f =
+  let ops = t.ops in
+  let kt = keyed ops in
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Op.Write (k, v) when Op.value ops.(final_index ops kt k i) <> v -> f i k v
+    | Op.Write _ | Op.Read _ -> ()
+  done
 
-let read_of t k = List.assoc_opt k (external_reads t)
-let write_of t k = List.assoc_opt k (final_writes t)
-let reads_key t k = read_of t k <> None
-let writes_key t k = write_of t k <> None
+let mark_finals t final off =
+  let ops = t.ops in
+  let kt = keyed ops in
+  for i = 0 to Array.length ops - 1 do
+    Bytes.set final (off + i)
+      (match ops.(i) with
+      | Op.Write (k, _) when final_index ops kt k i = i -> '\001'
+      | Op.Write _ | Op.Read _ -> '\000')
+  done
 
-let keys t =
-  let seen = Hashtbl.create 4 in
-  let acc = ref [] in
-  Array.iter
-    (fun op ->
-      let k = Op.key op in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.replace seen k ();
-        acc := k :: !acc
-      end)
-    t.ops;
-  List.rev !acc
+let final_write t k = last_on t.ops k ~writes:true 0 (Array.length t.ops)
+let writes_key t k = final_write t k >= 0
 
 let pp ppf t =
   let status = match t.status with Committed -> "C" | Aborted -> "A" in

@@ -28,39 +28,38 @@ val make :
 
 val is_committed : t -> bool
 
-val external_reads : t -> (Op.key * Op.value) list
-(** [T |- R(x,v)] of the paper: for each object [x] read before any write
-    to [x] within [t], the value of the *first* such read.  Ordered by
-    first occurrence. *)
+(** {2 Op facts}
+
+    The paper's judgements, decided on [t.ops] without allocating; only
+    op arrays over 16 ops (the initial transaction) take a keyed pass. *)
 
 val iter_external_reads : t -> (int -> Op.key -> Op.value -> unit) -> unit
-(** [iter_external_reads t f] calls [f i x v] for every external read
-    [R(x,v)] of {!external_reads}, in the same order, with [i] its op
-    index.  Allocation-free: a linear rescan per read instead of per-call
-    hashtables — meant for mini-transactions, whose op arrays are tiny. *)
+(** [T |- R(x,v)]: [iter_external_reads t f] calls [f i x v] for the
+    first read [R(x,v)] of each object [x] that [t] reads before any
+    write to [x], in op order, with [i] its op index. *)
 
-val final_writes : t -> (Op.key * Op.value) list
-(** [T |- W(x,v)]: the last value written by [t] to each object it writes.
-    Ordered by first write occurrence. *)
+val iter_final_writes : t -> (int -> Op.key -> Op.value -> unit) -> unit
+(** [T |- W(x,v)]: calls [f i x v] once per object [x] that [t] writes,
+    with [v] the last value written and [i] that write's op index.
+    Ordered by each object's first write. *)
 
-val intermediate_writes : t -> (Op.key * Op.value) list
-(** Writes overwritten later within the same transaction; reading one of
-    these from another transaction is the INTERMEDIATEREAD anomaly
-    (Adya's G1b). *)
+val iter_intermediate_writes : t -> (int -> Op.key -> Op.value -> unit) -> unit
+(** Calls [f i x v] for every write [W(x,v)] whose value differs from
+    the final value of [x] in [t], in op order.  Decided by value, not by
+    position: a write repeating its object's final value is that final
+    version, not an intermediate one.  Reading an intermediate write from
+    another transaction is the INTERMEDIATEREAD anomaly (Adya's G1b). *)
 
-val reads_key : t -> Op.key -> bool
-(** Does [t] read [x] before writing to it? *)
+val final_write : t -> Op.key -> int
+(** Op index of [t]'s final write to [x], or [-1] if [t] does not write
+    [x]. *)
 
 val writes_key : t -> Op.key -> bool
 
-val read_of : t -> Op.key -> Op.value option
-(** External read value of [x], if any. *)
-
-val write_of : t -> Op.key -> Op.value option
-(** Final written value of [x], if any. *)
-
-val keys : t -> Op.key list
-(** All keys accessed, in first-occurrence order. *)
+val mark_finals : t -> Bytes.t -> int -> unit
+(** [mark_finals t b off] stores the finality of each op of [t] at
+    [b.[off + i]]: ['\001'] for the final write of its object, ['\000']
+    for every other op. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_brief : Format.formatter -> t -> unit

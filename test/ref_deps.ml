@@ -86,7 +86,7 @@ let build_digraph ?(skew = 0) ~rt (idx : Index.t) =
               let wv = Index.vertex idx w in
               Digraph.add_edge g wv sv (Deps.WR k);
               push readers (wv, k) sv;
-              if Txn.writes_key s k then begin
+              if Ref_txn.writes_key s k then begin
                 Digraph.add_edge g wv sv (Deps.WW k);
                 push overwriters (wv, k) sv
               end
@@ -96,7 +96,7 @@ let build_digraph ?(skew = 0) ~rt (idx : Index.t) =
                 error :=
                   Some
                     (Deps.Unresolved_read { txn = s.id; key = k; value = v }))
-        (Txn.external_reads s))
+        (Ref_txn.external_reads s))
     idx.committed;
   match !error with
   | Some e -> Error e

@@ -73,7 +73,7 @@ let scan (idx : Index.t) ~all =
        (fun (s : Txn.t) ->
          List.iter
            (fun (k, v) ->
-             match Txn.write_of s k with
+             match Ref_txn.write_of s k with
              | None -> ()
              | Some v_new -> (
                  match Hashtbl.find_opt first_extender (k, v) with
@@ -94,7 +94,7 @@ let scan (idx : Index.t) ~all =
                        }
                        :: !found;
                      if not all then raise Hit))
-           (Txn.external_reads s))
+           (Ref_txn.external_reads s))
        idx.committed
    with Hit -> ());
   List.rev !found
@@ -120,7 +120,7 @@ let find_striped ?pool (idx : Index.t) =
                  List.iteri
                    (fun ri (k, v) ->
                      if k mod num_stripes = stripe then
-                       match Txn.write_of s k with
+                       match Ref_txn.write_of s k with
                        | None -> ()
                        | Some v_new -> (
                            match Hashtbl.find_opt first_extender (k, v) with
@@ -148,7 +148,7 @@ let find_striped ?pool (idx : Index.t) =
                                    ()
                                | Some _ | None -> best := Some (sv, ri, inst));
                                raise Exit))
-                   (Txn.external_reads s))
+                   (Ref_txn.external_reads s))
                idx.committed
            with Exit -> ())
         done;

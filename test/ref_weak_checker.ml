@@ -88,7 +88,7 @@ let build_trees (idx : Index.t) =
           Hashtbl.replace trees.(k).nodes v
             { n_writer = t.id; n_children = []; n_in = 0; n_out = 0;
               n_below = Bytes.empty })
-        (Txn.final_writes t))
+        (Ref_txn.final_writes t))
     idx.committed;
   (* Parent edges from the writers' RMW reads. *)
   Array.iter
@@ -98,7 +98,7 @@ let build_trees (idx : Index.t) =
           if t.id = History.init_id then
             trees.(k).roots <- v :: trees.(k).roots
           else
-            match Txn.read_of t k with
+            match Ref_txn.read_of t k with
             | Some parent_value -> (
                 match Hashtbl.find_opt trees.(k).nodes parent_value with
                 | Some parent -> parent.n_children <- v :: parent.n_children
@@ -116,7 +116,7 @@ let build_trees (idx : Index.t) =
                         (Printf.sprintf
                            "blind write of x%d by T%d: not a mini-transaction"
                            k t.id))))
-        (Txn.final_writes t))
+        (Ref_txn.final_writes t))
     idx.committed;
   (* Euler tour + subtree writer sets (iterative post-order). *)
   let n = Index.num_vertices idx in
@@ -191,7 +191,7 @@ let g1c_check (idx : Index.t) =
 let fractured_check (idx : Index.t) trees =
   Array.iter
     (fun (r : Txn.t) ->
-      let reads = Txn.external_reads r in
+      let reads = Ref_txn.external_reads r in
       List.iter
         (fun (x, v) ->
           match Index.writer_of idx x v with
@@ -200,7 +200,7 @@ let fractured_check (idx : Index.t) trees =
               List.iter
                 (fun (y, vy) ->
                   if y <> x then
-                    match Txn.write_of writer_txn y with
+                    match Ref_txn.write_of writer_txn y with
                     | Some wy ->
                         let read_node = node_of trees y vy in
                         let written_node = node_of trees y wy in
@@ -232,7 +232,7 @@ let causal_check (idx : Index.t) trees =
           | Index.Final w when w <> s.id ->
               Digraph.add_edge hb (Index.vertex idx w) sv (Deps.WR k)
           | _ -> ())
-        (Txn.external_reads s))
+        (Ref_txn.external_reads s))
     idx.committed;
   (match Cycle.find hb with
   | Some cycle ->
@@ -283,7 +283,7 @@ let causal_check (idx : Index.t) trees =
                         missed_writer = (Index.txn_of_vertex idx !missed).Txn.id;
                       }))
           end)
-        (Txn.external_reads r))
+        (Ref_txn.external_reads r))
     idx.committed
 
 let check level h =

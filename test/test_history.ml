@@ -4,8 +4,6 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-let kv = Alcotest.(list (pair int int))
-
 (* --- Op --- *)
 
 let test_op_accessors () =
@@ -56,42 +54,65 @@ let rw_txn =
   Txn.make ~id:1 ~session:1
     [ Op.Read (0, 5); Op.Write (0, 6); Op.Read (1, 7); Op.Write (1, 8) ]
 
+(* An iterator's visits as (op index, key, value) triples. *)
+let visits iter t =
+  let acc = ref [] in
+  iter t (fun i k v -> acc := (i, k, v) :: !acc);
+  List.rev !acc
+
+let ikv = Alcotest.(list (triple int int int))
+
 let test_txn_external_reads () =
-  Alcotest.check kv "both reads external" [ (0, 5); (1, 7) ]
-    (Txn.external_reads rw_txn)
+  Alcotest.check ikv "both reads external" [ (0, 0, 5); (2, 1, 7) ]
+    (visits Txn.iter_external_reads rw_txn)
 
 let test_txn_read_after_write_not_external () =
   let t = Txn.make ~id:1 ~session:1 [ Op.Write (0, 1); Op.Read (0, 1) ] in
-  Alcotest.check kv "no external reads" [] (Txn.external_reads t)
+  Alcotest.check ikv "no external reads" []
+    (visits Txn.iter_external_reads t)
 
 let test_txn_first_read_wins () =
   let t = Txn.make ~id:1 ~session:1 [ Op.Read (0, 1); Op.Read (0, 2) ] in
-  Alcotest.check kv "first read" [ (0, 1) ] (Txn.external_reads t)
+  Alcotest.check ikv "first read" [ (0, 0, 1) ]
+    (visits Txn.iter_external_reads t)
 
 let test_txn_final_writes () =
   let t =
     Txn.make ~id:1 ~session:1
       [ Op.Write (0, 1); Op.Write (0, 2); Op.Write (1, 3) ]
   in
-  Alcotest.check kv "last write per key" [ (0, 2); (1, 3) ] (Txn.final_writes t)
+  Alcotest.check ikv "last write per key" [ (1, 0, 2); (2, 1, 3) ]
+    (visits Txn.iter_final_writes t);
+  (* ordered by each key's first write, not by the final write's position *)
+  let t =
+    Txn.make ~id:1 ~session:1
+      [ Op.Write (0, 1); Op.Write (1, 2); Op.Write (0, 3) ]
+  in
+  Alcotest.check ikv "first-write order" [ (2, 0, 3); (1, 1, 2) ]
+    (visits Txn.iter_final_writes t)
 
 let test_txn_intermediate_writes () =
   let t =
     Txn.make ~id:1 ~session:1
       [ Op.Write (0, 1); Op.Write (0, 2); Op.Write (1, 3) ]
   in
-  Alcotest.check kv "overwritten" [ (0, 1) ] (Txn.intermediate_writes t)
+  Alcotest.check ikv "overwritten" [ (0, 0, 1) ]
+    (visits Txn.iter_intermediate_writes t);
+  (* a write repeating the final value is that final version *)
+  let t =
+    Txn.make ~id:1 ~session:1
+      [ Op.Write (0, 1); Op.Write (0, 2); Op.Write (0, 1) ]
+  in
+  Alcotest.check ikv "value reuse" [ (1, 0, 2) ]
+    (visits Txn.iter_intermediate_writes t)
 
 let test_txn_predicates () =
-  checkb "reads 0" true (Txn.reads_key rw_txn 0);
   checkb "writes 1" true (Txn.writes_key rw_txn 1);
-  checkb "no key 9" false (Txn.reads_key rw_txn 9);
-  Alcotest.check Alcotest.(option int) "read_of" (Some 7) (Txn.read_of rw_txn 1);
-  Alcotest.check Alcotest.(option int) "write_of" (Some 6) (Txn.write_of rw_txn 0)
-
-let test_txn_keys_order () =
-  Alcotest.check (Alcotest.list Alcotest.int) "first occurrence order" [ 0; 1 ]
-    (Txn.keys rw_txn)
+  checkb "no key 9" false (Txn.writes_key rw_txn 9);
+  checki "final write of 0" 1 (Txn.final_write rw_txn 0);
+  checki "final write of 9" (-1) (Txn.final_write rw_txn 9);
+  let t = Txn.make ~id:1 ~session:1 [ Op.Read (0, 1); Op.Write (1, 2) ] in
+  checkb "read-only key" false (Txn.writes_key t 0)
 
 let test_txn_default_timestamps () =
   let t = Txn.make ~id:9 ~session:1 [] in
@@ -417,6 +438,92 @@ let test_codec_file_roundtrip () =
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
+(* --- Txn op facts == the list reference ---
+
+   Random op arrays: mini-sized ones (<= 4 ops over <= 3 keys, values
+   drawn small so keys and values repeat) take the rescan path, 17-40
+   ops the keyed one.  Every iterator must visit exactly the reference
+   list in order, each visit naming the op that carries it. *)
+
+let op_facts_disagree (t : Txn.t) =
+  let ops = t.Txn.ops in
+  let n = Array.length ops in
+  let kv l = List.map (fun (_, k, v) -> (k, v)) l in
+  let is_write i k v = ops.(i) = Op.Write (k, v) in
+  let later_write i k =
+    let r = ref false in
+    for j = i + 1 to n - 1 do
+      match ops.(j) with Op.Write (k', _) when k' = k -> r := true | _ -> ()
+    done;
+    !r
+  in
+  let ext = visits Txn.iter_external_reads t
+  and fin = visits Txn.iter_final_writes t
+  and mid = visits Txn.iter_intermediate_writes t in
+  let marks = Bytes.make (n + 2) 'x' in
+  Txn.mark_finals t marks 1;
+  let keys = List.sort_uniq compare (Array.to_list (Array.map Op.key ops)) in
+  if kv ext <> Ref_txn.external_reads t then Some "external reads"
+  else if List.exists (fun (i, k, v) -> ops.(i) <> Op.Read (k, v)) ext then
+    Some "external read index"
+  else if kv fin <> Ref_txn.final_writes t then Some "final writes"
+  else if
+    List.exists (fun (i, k, v) -> (not (is_write i k v)) || later_write i k) fin
+  then Some "final write index"
+  else if kv mid <> Ref_txn.intermediate_writes t then
+    Some "intermediate writes"
+  else if List.exists (fun (i, k, v) -> not (is_write i k v)) mid then
+    Some "intermediate write index"
+  else if
+    Bytes.get marks 0 <> 'x'
+    || Bytes.get marks (n + 1) <> 'x'
+    || List.exists
+         (fun i ->
+           Bytes.get marks (i + 1)
+           <> if List.exists (fun (j, _, _) -> j = i) fin then '\001'
+              else '\000')
+         (List.init n Fun.id)
+  then Some "mark_finals"
+  else if
+    List.exists
+      (fun k ->
+        Txn.writes_key t k <> Ref_txn.writes_key t k
+        || Txn.final_write t k
+           <> (match List.find_opt (fun (_, k', _) -> k' = k) fin with
+              | Some (i, _, _) -> i
+              | None -> -1))
+      (-1 :: keys)
+  then Some "final_write / writes_key"
+  else None
+
+let test_txn_init_op_facts () =
+  let t = History.init_txn ~num_keys:50 in
+  checkb "initial transaction" true (op_facts_disagree t = None)
+
+let prop_txn_op_facts =
+  let op_gen ~keys =
+    QCheck2.Gen.(
+      map3
+        (fun w k v -> if w then Op.Write (k, v) else Op.Read (k, v))
+        bool (int_range 0 (keys - 1)) (int_range 0 3))
+  in
+  let ops_gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          list_size (int_range 0 4) (op_gen ~keys:3);
+          list_size (int_range 17 40) (op_gen ~keys:6);
+        ])
+  in
+  QCheck2.Test.make ~name:"txn op-fact iterators == list reference"
+    ~count:1000
+    ~print:(fun ops -> String.concat " " (List.map Op.to_string ops))
+    ops_gen
+    (fun ops ->
+      match op_facts_disagree (Txn.make ~id:1 ~session:1 ops) with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_report what)
+
 let suite =
   [
     ("op accessors", `Quick, test_op_accessors);
@@ -430,8 +537,9 @@ let suite =
     ("txn final writes", `Quick, test_txn_final_writes);
     ("txn intermediate writes", `Quick, test_txn_intermediate_writes);
     ("txn predicates", `Quick, test_txn_predicates);
-    ("txn keys order", `Quick, test_txn_keys_order);
     ("txn default timestamps", `Quick, test_txn_default_timestamps);
+    ("txn op facts on the initial transaction", `Quick, test_txn_init_op_facts);
+    qtest prop_txn_op_facts;
     ("mini accepts the seven shapes", `Quick, test_mini_accepts_shapes);
     ("mini rejects non-MTs", `Quick, test_mini_rejects);
     ("mini shape_of", `Quick, test_mini_shape_of);

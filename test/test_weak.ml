@@ -171,8 +171,8 @@ let is_hb_cycle h cycle =
     match dep with
     | Deps.SO -> List.mem (a, b) so
     | Deps.WR k -> (
-        match Txn.read_of (History.txn h b) k with
-        | Some v -> Txn.write_of (History.txn h a) k = Some v
+        match Ref_txn.read_of (History.txn h b) k with
+        | Some v -> Ref_txn.write_of (History.txn h a) k = Some v
         | None -> false)
     | Deps.RT | Deps.WW _ | Deps.RW _ | Deps.Rt_chain -> false
   in
